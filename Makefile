@@ -29,15 +29,15 @@ race:
 ## cover: enforce per-package coverage floors — the observability layer
 ## (obs registry/exposition, trace recorder), the Controller (lifecycle
 ## plus crash recovery), the journal persistence layer, the Backend
-## scheduler (dispatch, lease reclaim, draining), the Provider facade
-## (capacity splitting, multi-part instances, rebind), the transport
-## fast path (framing, binary codec, coordinator/node loops), the fleet
+## scheduler (dispatch, lease reclaim, draining), the transport fast
+## path (framing, binary codec, coordinator/node loops), the fleet
 ## simulation harness (SoA engine, timing wheel integration, analytic
-## cross-validation), the federation layer (consistent-hash ring,
-## cross-shard rebalancing, journal failover), the netsim layer (links,
+## cross-validation), the federation layer — the system's Provider
+## (capacity splitting, multi-part instances, consistent-hash ring,
+## cross-shard rebalancing, journal failover) — the netsim layer (links,
 ## faults, and the byzantine adversary plan), and the DSM-CC carousel
 ## codec (hashes, delta cycles, chunk cache, receiver interop).
-COVER_PKGS ?= ./internal/obs:85 ./internal/trace:85 ./internal/span:80 ./internal/core/controller:85 ./internal/journal:78 ./internal/core/backend:82 ./internal/core/provider:80 ./internal/transport:75 ./internal/fleet:75 ./internal/federation:75 ./internal/netsim:85 ./internal/dsmcc:80
+COVER_PKGS ?= ./internal/obs:85 ./internal/trace:85 ./internal/span:80 ./internal/core/controller:85 ./internal/journal:78 ./internal/core/backend:82 ./internal/transport:75 ./internal/fleet:75 ./internal/federation:80 ./internal/netsim:85 ./internal/dsmcc:80
 cover:
 	@for entry in $(COVER_PKGS); do \
 		pkg="$${entry%%:*}"; floor="$${entry##*:}"; \

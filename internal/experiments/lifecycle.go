@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"oddci/internal/core/controller"
-	"oddci/internal/core/provider"
+	"oddci/internal/federation"
 	"oddci/internal/metrics"
 	"oddci/internal/netsim"
 	"oddci/internal/obs"
@@ -82,7 +82,7 @@ func runLifecycle(cfg Config) (*Result, error) {
 				HeartbeatPeriod:    15 * time.Second,
 			}
 			for cycle := 0; cycle < cyclesFor(cfg.Quick); cycle++ {
-				var inst *provider.Instance
+				var inst *federation.FedInstance
 				for attempt := 0; attempt < 8; attempt++ {
 					in, err := sys.Provider.Create(spec)
 					if err == nil {

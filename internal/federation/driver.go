@@ -502,14 +502,9 @@ func (d *driver) run() (DriverResult, error) {
 			killed = true
 			recoverAt = now.Add(cfg.RecoverAfter)
 			victim := ShardID(cfg.KillShard)
-			ctrl, err := d.fed.Controller(victim)
-			if err != nil {
-				return d.res, err
-			}
 			if err := d.fed.Kill(victim); err != nil {
 				return d.res, err
 			}
-			ctrl.Stop()
 			d.mu.Lock()
 			if st := d.shards[victim].store; st != nil {
 				st.Close()

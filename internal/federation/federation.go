@@ -11,7 +11,6 @@ import (
 	"oddci/internal/appimage"
 	"oddci/internal/core/controller"
 	"oddci/internal/core/instance"
-	"oddci/internal/core/provider"
 	"oddci/internal/obs"
 )
 
@@ -191,16 +190,26 @@ func (f *Federation) Route(nodeID uint64) (ShardID, *controller.Controller, erro
 	return s, ctrl, err
 }
 
-// Kill marks a shard's controller failed. Subsequent Route/Controller
-// calls return ErrShardDown until Failover rebuilds it.
+// Kill fails a shard as the crash of its process would: the shard's
+// controller stops its maintenance and refresh loops, so nothing it
+// still holds can re-air, and Route/Controller return ErrShardDown
+// until Failover rebuilds it. Killing a shard that is already down is
+// an error.
 func (f *Federation) Kill(s ShardID) error {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	st, ok := f.shards[s]
 	if !ok {
+		f.mu.Unlock()
 		return ErrUnknownShard
 	}
+	if st.down {
+		f.mu.Unlock()
+		return fmt.Errorf("federation: shard %d is already down", s)
+	}
 	st.down = true
+	ctrl := st.ctrl
+	f.mu.Unlock()
+	ctrl.Stop()
 	return nil
 }
 
@@ -254,6 +263,31 @@ func (f *Federation) Failover(s ShardID) (ShardID, error) {
 	return adopter, nil
 }
 
+// live snapshots the shards that are up, in ascending id order.
+func (f *Federation) live() []shardState {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([]shardState, 0, len(f.order))
+	for _, id := range f.order {
+		if st := f.shards[id]; !st.down {
+			out = append(out, *st)
+		}
+	}
+	return out
+}
+
+// Population sums the live shards' heartbeat-derived (idle, busy) node
+// counts. A down shard's slice is unknown until failover and counts as
+// zero.
+func (f *Federation) Population() (idle, busy int) {
+	for _, st := range f.live() {
+		i, b := st.ctrl.Population()
+		idle += i
+		busy += b
+	}
+	return idle, busy
+}
+
 // liveSuccessor walks the ring clockwise from s until a live shard.
 func (f *Federation) liveSuccessor(s ShardID) ShardID {
 	f.mu.Lock()
@@ -269,10 +303,10 @@ func (f *Federation) liveSuccessor(s ShardID) ShardID {
 // FedInstance is one logical instance spread across the federation.
 // Parts are keyed by shard id and resolve their controller through the
 // Federation at call time, so a failover's controller swap is
-// transparent to outstanding handles (the Rebind pattern, generalized).
+// transparent to outstanding handles.
 type FedInstance struct {
 	fed  *Federation
-	id   uint64
+	seq  uint64 // creation order; keys Federation.insts
 	spec controller.InstanceSpec
 
 	mu        sync.Mutex
@@ -281,20 +315,12 @@ type FedInstance struct {
 }
 
 // Create provisions one logical instance across the live shards,
-// splitting the target in proportion to each shard's idle population
-// (replacing the static split of the single-network Multi provider).
+// splitting the target in proportion to each shard's idle population.
 func (f *Federation) Create(spec controller.InstanceSpec) (*FedInstance, error) {
 	if spec.Target <= 0 {
 		return nil, errors.New("federation: target must be positive")
 	}
-	f.mu.Lock()
-	live := make([]*shardState, 0, len(f.order))
-	for _, id := range f.order {
-		if st := f.shards[id]; !st.down {
-			live = append(live, st)
-		}
-	}
-	f.mu.Unlock()
+	live := f.live()
 	if len(live) == 0 {
 		return nil, ErrShardDown
 	}
@@ -304,7 +330,7 @@ func (f *Federation) Create(spec controller.InstanceSpec) (*FedInstance, error) 
 		idle, _ := st.ctrl.Population()
 		weights[i] = idle
 	}
-	shares := provider.Split(spec.Target, weights)
+	shares := Split(spec.Target, weights)
 	f.observeSkew(shares)
 
 	inst := &FedInstance{fed: f, spec: spec, parts: make(map[ShardID]instance.ID)}
@@ -331,8 +357,8 @@ func (f *Federation) Create(spec controller.InstanceSpec) (*FedInstance, error) 
 
 	f.mu.Lock()
 	f.nextID++
-	inst.id = f.nextID
-	f.insts[inst.id] = inst
+	inst.seq = f.nextID
+	f.insts[inst.seq] = inst
 	f.mu.Unlock()
 	return inst, nil
 }
@@ -364,7 +390,7 @@ func (f *Federation) Instances() []*FedInstance {
 	for _, inst := range f.insts {
 		out = append(out, inst)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
+	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
 	return out
 }
 
@@ -379,32 +405,49 @@ func (fi *FedInstance) Parts() map[ShardID]instance.ID {
 	return out
 }
 
-// Status aggregates the per-shard views. A down shard surfaces as
+// ID returns the instance's id on the lowest-numbered shard that holds
+// a part. With one shard this is the Controller's own instance id, the
+// one PNAs carry in their heartbeats.
+func (fi *FedInstance) ID() instance.ID {
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
+	first := ShardID(-1)
+	for s := range fi.parts {
+		if first < 0 || s < first {
+			first = s
+		}
+	}
+	return fi.parts[first]
+}
+
+// Status aggregates the per-shard views: counts are summed, and the
+// instance is Destroyed once every part is. A down shard surfaces as
 // ErrShardDown: its slice is unknown until failover completes.
 func (fi *FedInstance) Status() (controller.InstanceStatus, error) {
-	var agg controller.InstanceStatus
+	agg := controller.InstanceStatus{ID: fi.ID(), Destroyed: true}
 	for s, id := range fi.Parts() {
 		ctrl, err := fi.fed.Controller(s)
 		if err != nil {
-			return agg, fmt.Errorf("shard %d: %w", s, err)
+			return controller.InstanceStatus{}, fmt.Errorf("shard %d: %w", s, err)
 		}
 		st, err := ctrl.Status(id)
 		if err != nil {
-			return agg, fmt.Errorf("shard %d: %w", s, err)
+			return controller.InstanceStatus{}, fmt.Errorf("shard %d: %w", s, err)
 		}
 		agg.Target += st.Target
 		agg.Busy += st.Busy
 		agg.Wakeups += st.Wakeups
 		agg.Resets += st.Resets
 		agg.Trimming += st.Trimming
+		agg.Destroyed = agg.Destroyed && st.Destroyed
 	}
 	return agg, nil
 }
 
 // Resize re-splits the new aggregate target over live shards by idle
-// capacity plus current membership. Unlike the single-network Multi, a
-// shard that had no part can gain one: every shard airs its own
-// carousel, so new content starts airing on the shard at create time.
+// capacity plus current membership. A shard that had no part can gain
+// one: every shard airs its own carousel, so new content starts airing
+// on the shard at create time.
 func (fi *FedInstance) Resize(target int) error {
 	if target < 0 {
 		return errors.New("federation: negative target")
@@ -416,15 +459,7 @@ func (fi *FedInstance) Resize(target int) error {
 	}
 	fi.mu.Unlock()
 
-	f := fi.fed
-	f.mu.Lock()
-	live := make([]*shardState, 0, len(f.order))
-	for _, id := range f.order {
-		if st := f.shards[id]; !st.down {
-			live = append(live, st)
-		}
-	}
-	f.mu.Unlock()
+	live := fi.fed.live()
 	if len(live) == 0 {
 		return ErrShardDown
 	}
@@ -440,7 +475,7 @@ func (fi *FedInstance) Resize(target int) error {
 			}
 		}
 	}
-	shares := provider.Split(target, weights)
+	shares := Split(target, weights)
 	for i, share := range shares {
 		st := live[i]
 		pid, has := parts[st.id]
@@ -510,7 +545,7 @@ func (fi *FedInstance) Destroy() error {
 	}
 	f := fi.fed
 	f.mu.Lock()
-	delete(f.insts, fi.id)
+	delete(f.insts, fi.seq)
 	f.mu.Unlock()
 	return firstErr
 }

@@ -30,33 +30,38 @@ func buildCtrl(clk *simtime.Sim, dir string, seed int64) (*controller.Controller
 	if err != nil {
 		return nil, nil, err
 	}
-	car, err := dsmcc.NewCarousel(0x300, 0)
-	if err != nil {
-		return nil, nil, err
+	ctrl, err := newCtrl(clk, store, seed)
+	if err == nil {
+		err = ctrl.Start()
 	}
-	bcast, err := dsmcc.NewBroadcaster(clk, car, 1e6)
 	if err != nil {
-		return nil, nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	_, priv, err := ed25519.GenerateKey(rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctrl, err := controller.New(controller.Config{
-		Clock: clk, Broadcaster: bcast,
-		Signalling: middleware.NewSignalling(clk, 0),
-		Key:        priv, Rng: rng, Journal: store,
-	})
-	if err != nil {
-		store.Close()
-		return nil, nil, err
-	}
-	if err := ctrl.Start(); err != nil {
 		store.Close()
 		return nil, nil, err
 	}
 	return ctrl, store, nil
+}
+
+// newCtrl builds an unstarted Controller over its own broadcast stack,
+// journaling to store when it is non-nil.
+func newCtrl(clk *simtime.Sim, store *journal.Store, seed int64) (*controller.Controller, error) {
+	car, err := dsmcc.NewCarousel(0x300, 0)
+	if err != nil {
+		return nil, err
+	}
+	bcast, err := dsmcc.NewBroadcaster(clk, car, 1e6)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	_, priv, err := ed25519.GenerateKey(rng)
+	if err != nil {
+		return nil, err
+	}
+	return controller.New(controller.Config{
+		Clock: clk, Broadcaster: bcast,
+		Signalling: middleware.NewSignalling(clk, 0),
+		Key:        priv, Rng: rng, Journal: store,
+	})
 }
 
 // newTestFed builds an n-shard federation on one sim clock. Each shard
@@ -467,8 +472,7 @@ func TestFedInstanceResizeRecompose(t *testing.T) {
 	}
 
 	// Idle appears on shard 1; growing the instance must open a part
-	// there — unlike the single-network Multi, each shard airs its own
-	// carousel.
+	// there, since each shard airs its own carousel.
 	feedIdle(t, clk, fed, 1, 100, 140)
 	if err := inst.Resize(16); err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-package provider
+package federation
 
 import (
 	"math/rand"
@@ -7,6 +7,48 @@ import (
 	"testing"
 	"testing/quick"
 )
+
+func TestSplitExactAndProportional(t *testing.T) {
+	got := Split(10, []int{30, 10})
+	if got[0]+got[1] != 10 {
+		t.Fatalf("split not exact: %v", got)
+	}
+	if got[0] != 8 && got[0] != 7 {
+		t.Fatalf("split not proportional: %v", got)
+	}
+	even := Split(10, []int{0, 0, 0})
+	if even[0]+even[1]+even[2] != 10 {
+		t.Fatalf("even split not exact: %v", even)
+	}
+}
+
+// Property: split always sums to the target and never goes negative.
+func TestSplitProperty(t *testing.T) {
+	f := func(target uint8, raw []uint8) bool {
+		if len(raw) == 0 {
+			raw = []uint8{1}
+		}
+		if len(raw) > 8 {
+			raw = raw[:8]
+		}
+		weights := make([]int, len(raw))
+		for i, w := range raw {
+			weights[i] = int(w)
+		}
+		out := Split(int(target), weights)
+		sum := 0
+		for _, v := range out {
+			if v < 0 {
+				return false
+			}
+			sum += v
+		}
+		return sum == int(target)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestSplitTieGoesToHighestWeight pins the deterministic tie-break: with
 // idle populations [1, 3] and target 2 the exact shares are 0.5 and 1.5
@@ -141,6 +183,11 @@ func TestSplitDegenerateInputs(t *testing.T) {
 	}
 	if out := Split(5, nil); len(out) != 0 {
 		t.Fatalf("Split over empty weights = %v", out)
+	}
+	// All-zero weights carry no information: spread evenly, remainder
+	// to the lowest indices.
+	if out := Split(10, []int{0, 0, 0}); !reflect.DeepEqual(out, []int{4, 3, 3}) {
+		t.Fatalf("Split over zero weights = %v, want [4 3 3]", out)
 	}
 	// Negative weights are clamped to zero, not allowed to siphon shares.
 	out := Split(4, []int{-10, 2, 2})

@@ -88,15 +88,20 @@ func TestSimManyGoroutinesDeterministic(t *testing.T) {
 		clk := NewSim(epoch)
 		var mu sync.Mutex
 		var order []int
-		for i := 0; i < 50; i++ {
-			i := i
-			clk.Go(func() {
-				clk.Sleep(time.Duration(50-i) * time.Millisecond)
-				mu.Lock()
-				order = append(order, i)
-				mu.Unlock()
-			})
-		}
+		// Spawn from a participating goroutine: the test goroutine is
+		// not one, so virtual time may advance between two of its Go
+		// calls as soon as the actors spawned so far are all parked.
+		clk.Go(func() {
+			for i := 0; i < 50; i++ {
+				i := i
+				clk.Go(func() {
+					clk.Sleep(time.Duration(50-i) * time.Millisecond)
+					mu.Lock()
+					order = append(order, i)
+					mu.Unlock()
+				})
+			}
+		})
 		clk.Wait()
 		return order
 	}

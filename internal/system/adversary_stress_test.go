@@ -8,7 +8,7 @@ import (
 
 	"oddci/internal/core/backend"
 	"oddci/internal/core/controller"
-	"oddci/internal/core/provider"
+	"oddci/internal/federation"
 	"oddci/internal/netsim"
 	"oddci/internal/simtime"
 	"oddci/internal/workload"
@@ -115,7 +115,7 @@ func TestAdversarialChurnStress(t *testing.T) {
 			// alongside the adversarial task plane. Near-zero probability:
 			// it must not poach workers from the job instance for long.
 			if round%2 == 0 {
-				var aux *provider.Instance
+				var aux *federation.FedInstance
 				for attempt := 0; attempt < 5; attempt++ {
 					in, err := sys.Provider.Create(controller.InstanceSpec{
 						Image:              testImage(1 << 10),

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"oddci/internal/core/controller"
-	"oddci/internal/core/provider"
+	"oddci/internal/federation"
 	"oddci/internal/netsim"
 	"oddci/internal/simtime"
 	"oddci/internal/trace"
@@ -67,7 +67,7 @@ func TestControllerCrashRecoveryUnderFaults(t *testing.T) {
 	var jobDone atomic.Bool
 	h.OnComplete(func(time.Time) { jobDone.Store(true) })
 
-	createWithRetry := func(spec controller.InstanceSpec) *provider.Instance {
+	createWithRetry := func(spec controller.InstanceSpec) *federation.FedInstance {
 		for attempt := 0; attempt < 8; attempt++ {
 			in, err := sys.Provider.Create(spec)
 			if err == nil {

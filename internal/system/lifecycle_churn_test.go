@@ -8,7 +8,7 @@ import (
 
 	"oddci/internal/core/controller"
 	"oddci/internal/core/instance"
-	"oddci/internal/core/provider"
+	"oddci/internal/federation"
 	"oddci/internal/netsim"
 	"oddci/internal/simtime"
 	"oddci/internal/trace"
@@ -66,7 +66,7 @@ func TestLifecycleChurnUnderFaults(t *testing.T) {
 			HeartbeatPeriod:    15 * time.Second,
 		}
 		for cycle := 0; cycle < cycles; cycle++ {
-			var inst *provider.Instance
+			var inst *federation.FedInstance
 			for attempt := 0; attempt < 8; attempt++ {
 				in, err := sys.Provider.Create(spec)
 				if err == nil {

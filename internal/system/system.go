@@ -23,8 +23,8 @@ import (
 	"oddci/internal/core/dve"
 	"oddci/internal/core/instance"
 	"oddci/internal/core/pna"
-	"oddci/internal/core/provider"
 	"oddci/internal/dsmcc"
+	"oddci/internal/federation"
 	"oddci/internal/flute"
 	"oddci/internal/journal"
 	"oddci/internal/middleware"
@@ -178,7 +178,7 @@ type System struct {
 
 	Clock       simtime.Clock
 	Controller  *controller.Controller
-	Provider    *provider.Provider
+	Provider    *federation.Federation
 	Backend     *backend.Backend
 	Broadcaster middleware.ObjectCarousel
 	Signalling  *middleware.Signalling
@@ -187,20 +187,10 @@ type System struct {
 
 	controllerPub ed25519.PublicKey
 
-	// Durable control-plane state (Config.StateDir): the journal store,
-	// the head-end handle and controller config template needed to
-	// rebuild a Controller after a crash, and a dedicated restart rng
-	// stream so recovery does not perturb the deployment's other
-	// deterministic draws.
-	store      *journal.Store
-	head       controller.HeadEnd
-	ctrlCfg    controller.Config
-	restartRng *rand.Rand
-
 	mu      sync.Mutex
+	store   *journal.Store                  // the live Controller's journal (Config.StateDir)
 	byInst  map[instance.ID]map[uint64]bool // live busy membership, direct observation
 	started bool
-	crashed bool
 }
 
 // New assembles (but does not start) a deployment.
@@ -343,17 +333,26 @@ func New(cfg Config) (*System, error) {
 		cfg:           cfg,
 		Clock:         clk,
 		Controller:    ctrl,
-		Provider:      provider.New(ctrl),
 		Backend:       be,
 		Broadcaster:   bcast,
 		Signalling:    sig,
 		Registry:      reg,
 		controllerPub: pub,
 		store:         store,
-		head:          head,
-		ctrlCfg:       ctrlCfg,
-		restartRng:    rand.New(rand.NewSource(rng.Int63())),
 		byInst:        make(map[instance.ID]map[uint64]bool),
+	}
+	// The Provider is a one-shard federation; its journal stays at
+	// StateDir. Recovery draws from a dedicated rng stream so a restart
+	// does not perturb the deployment's other deterministic draws.
+	restartRng := rand.New(rand.NewSource(rng.Int63()))
+	shard := federation.Shard{ID: 0, Ctrl: ctrl}
+	if store != nil {
+		shard.Rebuild = func() (*controller.Controller, error) {
+			return s.rebuildController(ctrlCfg, head, restartRng)
+		}
+	}
+	if s.Provider, err = federation.New(federation.Config{Shards: []federation.Shard{shard}}); err != nil {
+		return nil, err
 	}
 
 	var mixTotal float64
@@ -481,23 +480,13 @@ func (s *System) serveController(ep *netsim.Endpoint) {
 		if err != nil {
 			continue
 		}
-		ctrl := s.currentController()
-		if ctrl == nil {
+		_, ctrl, err := s.Provider.Route(hb.NodeID)
+		if err != nil {
 			continue // controller down: the report vanishes, no reply
 		}
 		reply := ctrl.HandleHeartbeat(hb)
 		ep.Send(pkt.From, control.EncodeHeartbeatReply(reply), control.HeartbeatReplyWireSize)
 	}
-}
-
-// currentController returns the live Controller, or nil while crashed.
-func (s *System) currentController() *controller.Controller {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.crashed {
-		return nil
-	}
-	return s.Controller
 }
 
 // CrashController hard-stops the control plane in place, as a killed
@@ -507,20 +496,15 @@ func (s *System) currentController() *controller.Controller {
 // Backend — stays up, which is exactly the failure split durability is
 // for.
 func (s *System) CrashController() error {
-	s.mu.Lock()
-	if s.store == nil {
-		s.mu.Unlock()
+	if s.cfg.StateDir == "" {
 		return errors.New("system: no StateDir, control plane is not durable")
 	}
-	if s.crashed {
-		s.mu.Unlock()
-		return errors.New("system: controller already crashed")
+	if err := s.Provider.Kill(0); err != nil {
+		return err
 	}
-	s.crashed = true
-	ctrl := s.Controller
+	s.mu.Lock()
 	store := s.store
 	s.mu.Unlock()
-	ctrl.Stop()
 	return store.Close()
 }
 
@@ -533,41 +517,39 @@ func (r resumedHeadEnd) Start(files []dsmcc.File) error  { return r.inner.Update
 func (r resumedHeadEnd) Update(files []dsmcc.File) error { return r.inner.Update(files) }
 
 // RestartController brings the control plane back from the state
-// directory: it reopens the journal store, replays snapshot+journal
-// into a fresh Controller, re-airs the recovered content in one
-// head-end update, and rebinds the Provider's outstanding handles.
+// directory by failing the Provider's shard over onto a rebuilt
+// Controller. Outstanding instance handles resolve their Controller
+// through the Provider, so they keep working unchanged.
 func (s *System) RestartController() error {
-	s.mu.Lock()
-	if !s.crashed {
-		s.mu.Unlock()
-		return errors.New("system: controller is not crashed")
-	}
-	cfg := s.ctrlCfg
-	cfg.Broadcaster = resumedHeadEnd{s.head}
-	cfg.Rng = rand.New(rand.NewSource(s.restartRng.Int63()))
-	s.mu.Unlock()
+	_, err := s.Provider.Failover(0)
+	return err
+}
 
+// rebuildController is the shard's Failover path: it reopens the
+// journal store, replays snapshot+journal into a fresh Controller, and
+// re-airs the recovered content in one head-end update.
+func (s *System) rebuildController(cfg controller.Config, head controller.HeadEnd, rng *rand.Rand) (*controller.Controller, error) {
+	cfg.Broadcaster = resumedHeadEnd{head}
+	cfg.Rng = rand.New(rand.NewSource(rng.Int63()))
 	store, err := journal.Open(s.cfg.StateDir, journal.Options{Obs: s.cfg.Obs, Clock: s.Clock})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cfg.Journal = store
 	ctrl, err := controller.New(cfg)
 	if err != nil {
 		store.Close()
-		return err
+		return nil, err
 	}
 	if err := ctrl.Start(); err != nil {
 		store.Close()
-		return err
+		return nil, err
 	}
 	s.mu.Lock()
 	s.Controller = ctrl
 	s.store = store
-	s.crashed = false
 	s.mu.Unlock()
-	s.Provider.Rebind(ctrl)
-	return nil
+	return ctrl, nil
 }
 
 // ContentStats reports the current Controller's head-end content

@@ -7,6 +7,7 @@ import (
 	"oddci/internal/appimage"
 	"oddci/internal/core/backend"
 	"oddci/internal/core/controller"
+	"oddci/internal/netsim"
 	"oddci/internal/simtime"
 	"oddci/internal/workload"
 )
@@ -378,5 +379,43 @@ func TestHeartbeatBackpressureEndToEnd(t *testing.T) {
 	t.Logf("heartbeats in 30 min: unbounded=%d bounded=%d", unbounded, bounded)
 	if bounded >= unbounded/3 {
 		t.Fatalf("back-pressure ineffective: %d vs %d", bounded, unbounded)
+	}
+}
+
+// TestInstanceIDSurvivesRejectedCreate: a create the head-end rejects
+// still consumes a Controller instance id, so a handle's ID must be the
+// Controller's — the id PNAs report and LiveBusy keys on — and not a
+// count of successful creates.
+func TestInstanceIDSurvivesRejectedCreate(t *testing.T) {
+	clk := simtime.NewSim(epoch)
+	plan := netsim.NewFaultPlan(nil, 0, 1)
+	sys, err := New(Config{
+		Clock: clk, Nodes: 8, Seed: 12,
+		HeartbeatPeriod: 30 * time.Second, MaintenancePeriod: 30 * time.Second,
+		HeadEndFaults: plan,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(); err != nil {
+		t.Fatal(err)
+	}
+	spec := controller.InstanceSpec{Image: testImage(50000), Target: 8, InitialProbability: 1}
+	plan.FailNext(1)
+	if _, err := sys.Provider.Create(spec); err == nil {
+		t.Fatal("create accepted although the head-end rejected its staging")
+	}
+	inst, err := sys.Provider.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live int
+	clk.AfterFunc(3*time.Minute, func() {
+		live = sys.LiveBusy(inst.ID())
+		sys.Shutdown()
+	})
+	clk.Wait()
+	if live != 8 {
+		t.Fatalf("LiveBusy(%d) = %d, want all 8 nodes on the handle's id", inst.ID(), live)
 	}
 }

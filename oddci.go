@@ -34,8 +34,8 @@ import (
 	"oddci/internal/core/controller"
 	"oddci/internal/core/dve"
 	"oddci/internal/core/instance"
-	"oddci/internal/core/provider"
 	"oddci/internal/dsmcc"
+	"oddci/internal/federation"
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
 	"oddci/internal/span"
@@ -54,8 +54,10 @@ type (
 	InstanceSpec = controller.InstanceSpec
 	// InstanceStatus is the consolidated instance view.
 	InstanceStatus = controller.InstanceStatus
-	// Instance is a live handle on a provisioned instance.
-	Instance = provider.Instance
+	// Instance is a live handle on a provisioned instance. Its ID is
+	// the Controller's instance id, the key LiveBusy takes; the handle
+	// keeps working across CrashController / RestartController.
+	Instance = federation.FedInstance
 	// Requirements filter eligible devices in a wakeup.
 	Requirements = instance.Requirements
 	// DeviceProfile describes one node's capabilities.
@@ -399,7 +401,7 @@ func (s *System) CreateInstance(spec InstanceSpec) (*Instance, error) {
 }
 
 // Population reports the Controller's (heartbeat-derived) view of idle
-// and busy nodes.
+// and busy nodes; zero while the Controller is crashed.
 func (s *System) Population() (idle, busy int) { return s.sys.Provider.Population() }
 
 // LiveBusy reports the oracle count of nodes busy on an instance id —
