@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet test race build cover bench-transport bench-fleet bench-obs bench-adversary bench-image bench-federation
+.PHONY: check fmt vet test race build cover bench-transport bench-fleet bench-obs bench-adversary bench-image bench-federation bench-staging
 
 ## check: the full tier-1 gate — formatting, vet, build, tests with the
 ## race detector (the lifecycle churn stress and the federation
@@ -35,9 +35,10 @@ race:
 ## cross-validation), the federation layer — the system's Provider
 ## (capacity splitting, multi-part instances, consistent-hash ring,
 ## cross-shard rebalancing, journal failover) — the netsim layer (links,
-## faults, and the byzantine adversary plan), and the DSM-CC carousel
-## codec (hashes, delta cycles, chunk cache, receiver interop).
-COVER_PKGS ?= ./internal/obs:85 ./internal/trace:85 ./internal/span:80 ./internal/core/controller:85 ./internal/journal:78 ./internal/core/backend:82 ./internal/transport:75 ./internal/fleet:75 ./internal/federation:80 ./internal/netsim:85 ./internal/dsmcc:80
+## faults, and the byzantine adversary plan), the DSM-CC carousel
+## codec (hashes, delta cycles, chunk cache, receiver interop), and the
+## image and control-file verifiers with their verification memos.
+COVER_PKGS ?= ./internal/obs:85 ./internal/trace:85 ./internal/span:80 ./internal/core/controller:85 ./internal/journal:78 ./internal/core/backend:82 ./internal/transport:75 ./internal/fleet:75 ./internal/federation:80 ./internal/netsim:85 ./internal/dsmcc:80 ./internal/appimage:90 ./internal/control:85
 cover:
 	@for entry in $(COVER_PKGS); do \
 		pkg="$${entry%%:*}"; floor="$${entry##*:}"; \
@@ -94,3 +95,10 @@ bench-image:
 ## must hit on every shard after the first.
 bench-federation:
 	$(GO) run ./cmd/oddci-bench -sweep federation -out BENCH_federation.json
+
+## bench-staging: per-layer microbenchmarks of broadcast staging on the
+## host — image verify and control-file open, cold (full hash/signature
+## check) versus memo hit, and carousel fan-out of a 1 MiB image to
+## N = 32 and 1024 receivers, whose bytes/op must not grow with N × image.
+bench-staging:
+	$(GO) test -run '^$$' -bench 'Verify|OpenAll|BroadcasterFanout' -benchmem ./internal/appimage ./internal/control ./internal/dsmcc

@@ -6,10 +6,12 @@
 package appimage
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Image is one deployable application.
@@ -47,7 +49,10 @@ func (im *Image) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// Decode parses an encoded image.
+// Decode parses an encoded image. The returned Payload aliases raw, so
+// raw must outlive the image and must not be modified while the image is
+// in use; images decoded from a broadcast delivery share the carousel's
+// read-only buffer.
 func Decode(raw []byte) (*Image, error) {
 	if len(raw) < 10 {
 		return nil, errors.New("appimage: truncated")
@@ -96,9 +101,82 @@ func (im *Image) Digest() (Digest, error) {
 func DigestOf(raw []byte) Digest { return sha256.Sum256(raw) }
 
 // Verify checks raw against an expected digest and decodes it.
+//
+// A broadcast delivers the same image to every node, so Verify
+// remembers the last few encodings that passed, each as a private copy
+// together with its digest. A candidate byte-equal to a remembered copy
+// and checked against the same digest skips the re-hash: equal bytes
+// have equal digests, so the shortcut is exactly as strong as hashing.
+// The match compares bytes, never slice identity, so a buffer that is
+// modified after it passed, or a tampered copy, is different bytes: it
+// misses and takes the full check.
 func Verify(raw []byte, want Digest) (*Image, error) {
-	if DigestOf(raw) != want {
+	hit := verified.has(raw, want)
+	if !hit && DigestOf(raw) != want {
 		return nil, errors.New("appimage: digest mismatch")
 	}
-	return Decode(raw)
+	im, err := Decode(raw)
+	if err == nil && !hit {
+		verified.add(raw, want)
+	}
+	return im, err
+}
+
+// Bounds of the verification memo: a few distinct images (a carousel
+// rarely airs more at once), and never more than this many bytes of
+// copies; larger encodings are not remembered.
+const (
+	memoEntries = 4
+	memoBytes   = 16 << 20
+)
+
+// verified is the process-wide verification memo.
+var verified verifyMemo
+
+type verifyMemo struct {
+	mu      sync.Mutex
+	entries []memoEntry // most recent first; replaced, never written in place
+}
+
+type memoEntry struct {
+	digest Digest
+	raw    []byte // private copy of bytes that passed; never handed out
+}
+
+// has reports whether raw is byte-equal to a remembered encoding that
+// passed against want.
+func (m *verifyMemo) has(raw []byte, want Digest) bool {
+	m.mu.Lock()
+	entries := m.entries
+	m.mu.Unlock()
+	for _, e := range entries {
+		if e.digest == want && bytes.Equal(e.raw, raw) {
+			return true
+		}
+	}
+	return false
+}
+
+// add remembers a private copy of raw, which passed against digest,
+// evicting the oldest entries to stay within the bounds.
+func (m *verifyMemo) add(raw []byte, digest Digest) {
+	if len(raw) > memoBytes {
+		return
+	}
+	e := memoEntry{digest: digest, raw: bytes.Clone(raw)}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	next := make([]memoEntry, 1, memoEntries)
+	next[0] = e
+	size := len(e.raw)
+	for _, old := range m.entries {
+		if len(next) == memoEntries || size+len(old.raw) > memoBytes {
+			break
+		}
+		if old.digest != digest {
+			next = append(next, old)
+			size += len(old.raw)
+		}
+	}
+	m.entries = next
 }

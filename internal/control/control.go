@@ -6,11 +6,13 @@
 package control
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"oddci/internal/appimage"
@@ -165,7 +167,26 @@ var ErrBadSignature = errors.New("control: bad signature")
 // a Controller managing several concurrent instances broadcasts. Any
 // invalid envelope poisons the whole file (a PNA must not act on a
 // partially forged message set).
+//
+// Every node reads the same aired file, so OpenAll remembers the last
+// few files that opened cleanly, each as a private copy together with a
+// copy of the key that verified it. A candidate byte-equal to a
+// remembered file, under an equal key, skips the signature checks (it
+// is still parsed and decoded afresh): equal bytes carry equal
+// signatures over equal bodies, so the shortcut is exactly as strong as
+// verifying. The match compares bytes, never slice identity, so a
+// buffer modified after it passed, a tampered copy or another key
+// misses and takes the full check.
 func OpenAll(raw []byte, pub ed25519.PublicKey) ([]any, error) {
+	hit := opened.has(raw, pub)
+	msgs, err := openAll(raw, pub, !hit)
+	if err == nil && !hit {
+		opened.add(raw, pub)
+	}
+	return msgs, err
+}
+
+func openAll(raw []byte, pub ed25519.PublicKey, verify bool) ([]any, error) {
 	var msgs []any
 	for len(raw) > 0 {
 		if len(raw) < 5+ed25519.SignatureSize {
@@ -176,7 +197,7 @@ func OpenAll(raw []byte, pub ed25519.PublicKey) ([]any, error) {
 		if total > len(raw) {
 			return nil, errors.New("control: envelope overruns file")
 		}
-		m, err := Open(raw[:total], pub)
+		m, err := open(raw[:total], pub, verify)
 		if err != nil {
 			return nil, err
 		}
@@ -188,13 +209,16 @@ func OpenAll(raw []byte, pub ed25519.PublicKey) ([]any, error) {
 
 // Open verifies an envelope against the Controller's public key and
 // returns the decoded message (*Wakeup or *Reset).
-func Open(raw []byte, pub ed25519.PublicKey) (any, error) {
+func Open(raw []byte, pub ed25519.PublicKey) (any, error) { return open(raw, pub, true) }
+
+// open decodes one envelope, checking its signature when verify is set.
+func open(raw []byte, pub ed25519.PublicKey, verify bool) (any, error) {
 	if len(raw) < 5+ed25519.SignatureSize {
 		return nil, errors.New("control: truncated envelope")
 	}
 	body := raw[:len(raw)-ed25519.SignatureSize]
 	sig := raw[len(raw)-ed25519.SignatureSize:]
-	if !ed25519.Verify(pub, body, sig) {
+	if verify && !ed25519.Verify(pub, body, sig) {
 		return nil, ErrBadSignature
 	}
 	t := MsgType(body[0])
@@ -211,4 +235,63 @@ func Open(raw []byte, pub ed25519.PublicKey) (any, error) {
 	default:
 		return nil, fmt.Errorf("control: unknown message type %d", t)
 	}
+}
+
+// Bounds of the OpenAll memo: a few distinct control files (the current
+// one and its recent predecessors), and never more than this many bytes
+// of copies; larger files are not remembered.
+const (
+	memoEntries = 8
+	memoBytes   = 1 << 20
+)
+
+// opened is the process-wide OpenAll memo.
+var opened openMemo
+
+type openMemo struct {
+	mu      sync.Mutex
+	entries []memoEntry // most recent first; replaced, never written in place
+}
+
+type memoEntry struct {
+	pub ed25519.PublicKey // private copies of what passed; never handed out
+	raw []byte
+}
+
+// has reports whether raw is byte-equal to a remembered file that
+// opened cleanly under a key equal to pub.
+func (m *openMemo) has(raw []byte, pub ed25519.PublicKey) bool {
+	m.mu.Lock()
+	entries := m.entries
+	m.mu.Unlock()
+	for _, e := range entries {
+		if bytes.Equal(e.raw, raw) && bytes.Equal(e.pub, pub) {
+			return true
+		}
+	}
+	return false
+}
+
+// add remembers private copies of raw and pub, evicting the oldest
+// entries to stay within the bounds.
+func (m *openMemo) add(raw []byte, pub ed25519.PublicKey) {
+	if len(raw) > memoBytes {
+		return
+	}
+	e := memoEntry{pub: bytes.Clone(pub), raw: bytes.Clone(raw)}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	next := make([]memoEntry, 1, memoEntries)
+	next[0] = e
+	size := len(e.raw)
+	for _, old := range m.entries {
+		if len(next) == memoEntries || size+len(old.raw) > memoBytes {
+			break
+		}
+		if !bytes.Equal(old.raw, raw) || !bytes.Equal(old.pub, pub) {
+			next = append(next, old)
+			size += len(old.raw)
+		}
+	}
+	m.entries = next
 }

@@ -12,7 +12,7 @@ import (
 	"oddci/internal/core/instance"
 )
 
-func testKeys(t *testing.T) (ed25519.PublicKey, ed25519.PrivateKey) {
+func testKeys(t testing.TB) (ed25519.PublicKey, ed25519.PrivateKey) {
 	t.Helper()
 	pub, priv, err := ed25519.GenerateKey(rand.New(rand.NewSource(1)))
 	if err != nil {

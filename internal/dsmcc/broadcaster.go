@@ -150,14 +150,16 @@ func (b *Broadcaster) positionLocked(t time.Time) int64 {
 // Update replaces the carousel contents at the next cycle boundary, as a
 // real playout server would (receivers mid-read of the old generation
 // finish their cycle). Successive updates before the boundary coalesce;
-// the last one wins.
+// the last one wins. Like Carousel.SetFiles, it takes its own copy of
+// changed payloads: the caller may reuse its slices as soon as Update
+// returns.
 func (b *Broadcaster) Update(files []File) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.started {
 		return errors.New("dsmcc: broadcaster not started")
 	}
-	b.pending = files
+	b.pending = b.car.own(files)
 	if b.pendingSet {
 		return nil // commit already scheduled
 	}
@@ -177,7 +179,7 @@ func (b *Broadcaster) commit() {
 	files := b.pending
 	b.pending = nil
 	b.pendingSet = false
-	if err := b.car.SetFiles(files); err != nil {
+	if err := b.car.setOwned(files); err != nil {
 		b.mu.Unlock()
 		panic(fmt.Sprintf("dsmcc: committing validated update failed: %v", err))
 	}
@@ -235,6 +237,11 @@ var ErrNoSuchFile = errors.New("dsmcc: no such file in carousel")
 // changes mid-read (version bump), the read restarts against the new
 // generation, exactly as a receiver re-acquiring a new module version
 // would.
+//
+// The delivered slice is the carousel's own buffer for that version,
+// shared by every receiver: fn must treat it as read-only. Its capacity
+// equals its length, so appending to it copies rather than writing into
+// the shared bytes.
 func (b *Broadcaster) RequestFile(name string, strategy ReceiverStrategy, fn func(data []byte, at time.Time, err error)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -243,7 +250,9 @@ func (b *Broadcaster) RequestFile(name string, strategy ReceiverStrategy, fn fun
 		b.clk.AfterFunc(0, func() { fn(nil, now, errors.New("dsmcc: broadcaster not started")) })
 		return
 	}
-	b.scheduleDeliveryLocked(name, strategy, fn)
+	b.scheduleDeliveryLocked(name, strategy, func(data []byte, _ ModuleHash, at time.Time, err error) {
+		fn(data, at, err)
+	})
 }
 
 // RequestFileCached is RequestFile for a receiver holding a persistent
@@ -254,7 +263,8 @@ func (b *Broadcaster) RequestFile(name string, strategy ReceiverStrategy, fn fun
 // Otherwise the read proceeds on the normal cyclic schedule and the
 // delivered bytes are published into the cache for next time. Against a
 // pre-hash carousel (no hash extension) this degrades to RequestFile
-// exactly.
+// exactly. Delivered bytes are read-only, as for RequestFile: they are
+// the carousel's buffer or the cache's entry.
 func (b *Broadcaster) RequestFileCached(name string, cache *ChunkCache, strategy ReceiverStrategy, fn func(data []byte, at time.Time, err error)) {
 	if cache == nil {
 		b.RequestFile(name, strategy, fn)
@@ -283,10 +293,12 @@ func (b *Broadcaster) scheduleCachedLocked(name string, cache *ChunkCache, strat
 		cached, hit = cache.Get(e.Hash)
 	}
 	if !hit {
-		// Air path; publish the delivered bytes for future reads.
-		b.scheduleDeliveryLocked(name, strategy, func(d []byte, at time.Time, err error) {
+		// Air path; publish the delivered bytes for future reads. They
+		// are the carousel's immutable buffer, filed under the hash the
+		// carousel recorded for them, so the cache needs no copy.
+		b.scheduleDeliveryLocked(name, strategy, func(d []byte, h ModuleHash, at time.Time, err error) {
 			if err == nil {
-				cache.Put(HashOf(d), d)
+				cache.putShared(h, d)
 			}
 			fn(d, at, err)
 		})
@@ -325,15 +337,17 @@ func (b *Broadcaster) scheduleCachedLocked(name string, cache *ChunkCache, strat
 		b.mu.Unlock()
 		delivered.Inc()
 		served.Inc()
-		fn(append([]byte(nil), cached...), b.clk.Now(), nil)
+		fn(cached, b.clk.Now(), nil)
 	})
 }
 
-func (b *Broadcaster) scheduleDeliveryLocked(name string, strategy ReceiverStrategy, fn func([]byte, time.Time, error)) {
+// scheduleDeliveryLocked delivers the named file's shared buffer, and
+// the content hash the carousel recorded for it, on the cyclic schedule.
+func (b *Broadcaster) scheduleDeliveryLocked(name string, strategy ReceiverStrategy, fn func([]byte, ModuleHash, time.Time, error)) {
 	now := b.clk.Now()
 	e, ok := b.layout.Entry(name)
 	if !ok {
-		b.clk.AfterFunc(0, func() { fn(nil, now, ErrNoSuchFile) })
+		b.clk.AfterFunc(0, func() { fn(nil, 0, now, ErrNoSuchFile) })
 		return
 	}
 	version := e.Version
@@ -350,7 +364,7 @@ func (b *Broadcaster) scheduleDeliveryLocked(name string, strategy ReceiverStrat
 		switch {
 		case !ok:
 			b.mu.Unlock()
-			fn(nil, b.clk.Now(), ErrNoSuchFile)
+			fn(nil, 0, b.clk.Now(), ErrNoSuchFile)
 			return
 		case cur.Version != version:
 			// Content changed under the read: restart on the new
@@ -359,16 +373,10 @@ func (b *Broadcaster) scheduleDeliveryLocked(name string, strategy ReceiverStrat
 			b.mu.Unlock()
 			return
 		}
-		var data []byte
-		for _, f := range b.car.Files() {
-			if f.Name == name {
-				data = append([]byte(nil), f.Data...)
-				break
-			}
-		}
+		data, h, _ := b.car.file(name)
 		delivered := b.delivered
 		b.mu.Unlock()
 		delivered.Inc()
-		fn(data, b.clk.Now(), nil)
+		fn(data, h, b.clk.Now(), nil)
 	})
 }

@@ -56,8 +56,10 @@ func (c *ChunkCache) Instrument(m *CacheMetrics) {
 	c.mu.Unlock()
 }
 
-// Get returns the payload stored under h. Callers must not mutate the
-// returned slice.
+// Get returns the payload stored under h. The slice is the cache's own
+// entry, which may also be a carousel buffer shared fleet-wide: callers
+// must not mutate it. Its capacity equals its length, so appending to it
+// copies.
 func (c *ChunkCache) Get(h ModuleHash) ([]byte, bool) {
 	if c == nil || h == 0 {
 		return nil, false
@@ -71,7 +73,8 @@ func (c *ChunkCache) Get(h ModuleHash) ([]byte, bool) {
 	}
 	c.ll.MoveToFront(el)
 	c.met.hit()
-	return el.Value.(*chunkEntry).data, true
+	d := el.Value.(*chunkEntry).data
+	return d[:len(d):len(d)], true
 }
 
 // Contains reports whether h is cached without touching recency or the
@@ -89,7 +92,13 @@ func (c *ChunkCache) Contains(h ModuleHash) bool {
 // Put stores data under h, evicting least-recently-used entries to stay
 // within the byte bound. Payloads larger than the whole cache are
 // ignored. The data is copied.
-func (c *ChunkCache) Put(h ModuleHash, data []byte) {
+func (c *ChunkCache) Put(h ModuleHash, data []byte) { c.put(h, data, true) }
+
+// putShared is Put without the copy, for bytes nobody will ever write:
+// the Broadcaster's fill from carousel-owned buffers.
+func (c *ChunkCache) putShared(h ModuleHash, data []byte) { c.put(h, data, false) }
+
+func (c *ChunkCache) put(h ModuleHash, data []byte, copyData bool) {
 	if c == nil || h == 0 || int64(len(data)) > c.max {
 		return
 	}
@@ -101,7 +110,10 @@ func (c *ChunkCache) Put(h ModuleHash, data []byte) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	e := &chunkEntry{hash: h, data: append([]byte(nil), data...)}
+	if copyData {
+		data = append([]byte(nil), data...)
+	}
+	e := &chunkEntry{hash: h, data: data}
 	c.items[h] = c.ll.PushFront(e)
 	c.bytes += int64(len(e.data))
 	c.met.insert()

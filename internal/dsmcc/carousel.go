@@ -1,6 +1,7 @@
 package dsmcc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -29,7 +30,8 @@ type Carousel struct {
 	hashes     map[string]ModuleHash
 	changed    map[string]bool
 	nextModule uint16
-	files      []File
+	files      []File            // sorted by module ID
+	content    map[string][]byte // name → immutable payload of files
 	noHashExt  bool
 }
 
@@ -64,14 +66,37 @@ func (c *Carousel) Generation() uint32 { return c.generation }
 // BlockSize returns the configured DDB payload size.
 func (c *Carousel) BlockSize() int { return c.blockSize }
 
-// Files returns the current contents.
+// Files returns the current contents. The payloads are the carousel's
+// own immutable buffers, shared with every delivery: callers must treat
+// them as read-only.
 func (c *Carousel) Files() []File { return c.files }
 
 // SetFiles replaces the carousel contents. Module IDs are stable per
 // name; versions bump when a file's content changes. The generation
 // counter always increments, signalling receivers that the directory
-// changed.
-func (c *Carousel) SetFiles(files []File) error {
+// changed. The carousel keeps its own copy of every changed payload, so
+// the caller may reuse or modify its slices afterwards without touching
+// what is on air.
+func (c *Carousel) SetFiles(files []File) error { return c.setOwned(c.own(files)) }
+
+// own returns files with every payload in carousel-owned storage.
+// Bytes equal to what is already on air under the same name keep that
+// buffer; anything else is copied once into a capacity-clipped slice,
+// so a receiver appending to a delivery can never write into it.
+func (c *Carousel) own(files []File) []File {
+	out := make([]File, len(files))
+	for i, f := range files {
+		data, ok := c.content[f.Name]
+		if !ok || !bytes.Equal(data, f.Data) {
+			data = append(make([]byte, 0, len(f.Data)), f.Data...)
+		}
+		out[i] = File{Name: f.Name, Data: data}
+	}
+	return out
+}
+
+// setOwned is SetFiles for payloads that already went through own.
+func (c *Carousel) setOwned(files []File) error {
 	seen := make(map[string]bool, len(files))
 	for _, f := range files {
 		if f.Name == "" || len(f.Name) > 255 {
@@ -86,17 +111,14 @@ func (c *Carousel) SetFiles(files []File) error {
 			return fmt.Errorf("dsmcc: file %q needs %d blocks, max 65535", f.Name, blocks)
 		}
 	}
-	old := make(map[string][]byte, len(c.files))
-	for _, f := range c.files {
-		old[f.Name] = f.Data
-	}
+	content := make(map[string][]byte, len(files))
 	c.changed = make(map[string]bool)
 	for _, f := range files {
 		if _, ok := c.moduleIDs[f.Name]; !ok {
 			c.moduleIDs[f.Name] = c.nextModule
 			c.nextModule++
 		}
-		if prev, existed := old[f.Name]; !existed || !bytesEqual(prev, f.Data) {
+		if prev, existed := c.content[f.Name]; !existed || !bytes.Equal(prev, f.Data) {
 			if existed {
 				c.versions[f.Name]++
 			}
@@ -104,14 +126,23 @@ func (c *Carousel) SetFiles(files []File) error {
 			c.changed[f.Name] = true
 			c.hashes[f.Name] = HashOf(f.Data)
 		}
+		content[f.Name] = f.Data
 	}
 	sorted := append([]File(nil), files...)
 	sort.Slice(sorted, func(i, j int) bool {
 		return c.moduleIDs[sorted[i].Name] < c.moduleIDs[sorted[j].Name]
 	})
 	c.files = sorted
+	c.content = content
 	c.generation++
 	return nil
+}
+
+// file returns the named payload and its content hash (recorded even
+// with the hash extension off). The bytes are shared and read-only.
+func (c *Carousel) file(name string) ([]byte, ModuleHash, bool) {
+	data, ok := c.content[name]
+	return data, c.hashes[name], ok
 }
 
 // Changed returns the names whose content changed (or first appeared)
@@ -124,18 +155,6 @@ func (c *Carousel) Changed() []string {
 		}
 	}
 	return out
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // DII builds the current directory message.

@@ -186,6 +186,7 @@ type System struct {
 	STBs        []*stb.STB
 
 	controllerPub ed25519.PublicKey
+	car           *dsmcc.Carousel // nil on the IP-multicast substrate
 
 	mu      sync.Mutex
 	store   *journal.Store                  // the live Controller's journal (Config.StateDir)
@@ -213,6 +214,7 @@ func New(cfg Config) (*System, error) {
 		controller.HeadEnd
 		middleware.ObjectCarousel
 	}
+	var car *dsmcc.Carousel
 	switch cfg.Transport {
 	case TransportIPMulticast:
 		caster, err := flute.NewCaster(clk, cfg.Beta)
@@ -221,7 +223,7 @@ func New(cfg Config) (*System, error) {
 		}
 		bcast = caster
 	default:
-		car, err := dsmcc.NewCarousel(0x300, 0)
+		car, err = dsmcc.NewCarousel(0x300, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -338,6 +340,7 @@ func New(cfg Config) (*System, error) {
 		Signalling:    sig,
 		Registry:      reg,
 		controllerPub: pub,
+		car:           car,
 		store:         store,
 		byInst:        make(map[instance.ID]map[uint64]bool),
 	}

@@ -55,7 +55,9 @@ type Context interface {
 	AppKey() uint64
 	// ReadFile requests a carousel file. fn runs when the object
 	// carousel delivers it (possibly a full cycle later), or with err on
-	// failure.
+	// failure. data may be the broadcast's own buffer, shared with every
+	// other receiver: fn must treat it as read-only and copy before
+	// modifying.
 	ReadFile(name string, fn func(data []byte, err error))
 	// Go spawns a goroutine owned by the Xlet; the middleware tracks it
 	// via the clock.
