@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet test race build cover bench-transport bench-fleet bench-obs bench-adversary bench-image bench-federation bench-staging
+.PHONY: check fmt vet test race build cover bench bench-staging
 
 ## check: the full tier-1 gate — formatting, vet, build, tests with the
 ## race detector (the lifecycle churn stress and the federation
@@ -51,50 +51,32 @@ cover:
 		echo "$$pkg: coverage $$pct% (floor $$floor%)"; \
 	done
 
-## bench-transport: regenerate the transport fast-path regression gate
-## (BENCH_transport.json) — fails if the broadcast encode counter is not
-## flat in session count or the binary codec's alloc win drops below 2x.
-bench-transport:
-	$(GO) run ./cmd/oddci-bench -sweep transport -out BENCH_transport.json
-
-## bench-fleet: regenerate the million-PNA harness gate
-## (BENCH_fleet.json) — wakeup→quorum at n = 10³…10⁶ in one process,
-## failing if any availability or ramp-up curve leaves its analytic
-## tolerance.
-bench-fleet:
-	$(GO) run ./cmd/oddci-bench -sweep fleet -out BENCH_fleet.json
-
-## bench-obs: regenerate the tracing overhead gate (BENCH_obs.json) —
-## fails if the sampled-off span collector costs the binary task
-## hand-off more than 2% versus the untraced baseline, or allocates.
-bench-obs:
-	$(GO) run ./cmd/oddci-bench -sweep obs -out BENCH_obs.json
-
-## bench-adversary: regenerate the byzantine hardening gate
-## (BENCH_adversary.json) — full adversarial deployments over fraction ×
-## replication × seed, failing on any wrong commit at Replication 5, on
-## quarantine coverage below 95% of the byzantine population, or if
-## arming credibility tracking costs the honest dispatch path more
-## than 3%.
-bench-adversary:
-	$(GO) run ./cmd/oddci-bench -sweep adversary -out BENCH_adversary.json
-
-## bench-image: regenerate the delta image distribution gate
-## (BENCH_image.json) — re-air wire bytes must stay within 1.25x the
-## changed module payload at 1/16, 1/4 and full deltas, cache-warm and
-## legacy receivers must both converge (the latter under 20% section
-## loss), and transport staging encodes must be flat in session count.
-bench-image:
-	$(GO) run ./cmd/oddci-bench -sweep image -out BENCH_image.json
-
-## bench-federation: regenerate the sharded control plane gate
-## (BENCH_federation.json) — convergence at 1→16 coordinator shards must
-## stay within 1.15x the single-shard baseline, a killed shard must
-## journal-fail-over and reconverge with zero duplicate wakeups (also
-## re-run at 10^6 PNAs in the SoA engine), and the shared chunk cache
-## must hit on every shard after the first.
-bench-federation:
-	$(GO) run ./cmd/oddci-bench -sweep federation -out BENCH_federation.json
+## bench: regenerate BENCH.json, the one report of every oddci-bench
+## gate sweep — {env, rows, gates}, stamped with the Go version,
+## platform, CPU and git revision — and fail, after writing it, naming
+## every failed gate. The sweeps and their gates:
+##   fleet       wakeup→quorum at n = 10³…10⁶ PNAs in one process, every
+##               availability and ramp-up curve within its analytic
+##               tolerance (first, so its peak RSS is its own);
+##   backend     scheduler dispatch/commit/round-trip throughput, a
+##               starved dispatch invalidating the measurement;
+##   transport   broadcast encodes flat in session count, binary task
+##               plane at least 2x fewer allocs than JSON;
+##   obs         sampled-off span collector within 2% of untraced and
+##               allocation-free on the task hand-off;
+##   adversary   no wrong commit at Replication 5, ≥95% of byzantine nodes
+##               quarantined, armed dispatch within 3% of baseline;
+##   image       re-air wire bytes within 1.25x the changed payload at
+##               1/16, 1/4 and full deltas, cache-warm and legacy
+##               receivers converging (the latter under 20% section
+##               loss), transport staging encodes flat in session count;
+##   federation  convergence at 1→16 shards within 1.15x one shard, journal
+##               failover with zero duplicate wakeups (also at 10⁶ PNAs in
+##               the SoA engine), shared chunk cache hitting ≥70%.
+## -buildvcs=true stamps the git revision into the binary `go run` builds.
+bench:
+	$(GO) run -buildvcs=true ./cmd/oddci-bench -out BENCH.json \
+		-sweep fleet,backend,transport,obs,adversary,image,federation
 
 ## bench-staging: per-layer microbenchmarks of broadcast staging on the
 ## host — image verify and control-file open, cold (full hash/signature

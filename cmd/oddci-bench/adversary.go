@@ -1,100 +1,14 @@
 package main
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"oddci/internal/core/backend"
 	"oddci/internal/experiments"
-	"oddci/internal/simtime"
 )
-
-// adversaryCell is one (fraction, replication, seed) deployment run of
-// the byzantine scenario in BENCH_adversary.json.
-type adversaryCell struct {
-	Fraction          float64 `json:"fraction"`
-	Replication       int     `json:"replication"`
-	Seed              int64   `json:"seed"`
-	Byzantine         int     `json:"byzantine_nodes"`
-	ByzQuarantined    int     `json:"byzantine_quarantined"`
-	HonestQuarantined int     `json:"honest_quarantined"`
-	Committed         int     `json:"committed"`
-	WrongCommits      int     `json:"wrong_commits"`
-	Unresolved        int64   `json:"unresolved"`
-	Conflicts         int64   `json:"conflicts"`
-	Lies              int64   `json:"lies"`
-	MakespanSec       float64 `json:"makespan_sec"`
-}
-
-// adversaryReport is the BENCH_adversary.json gate document.
-type adversaryReport struct {
-	Cells []adversaryCell `json:"cells"`
-	// Dispatch throughput with credibility tracking armed versus the
-	// plain baseline (best of 3 each): the honest-path overhead gate.
-	BaselineOpsPerSec float64 `json:"baseline_ops_per_sec"`
-	ArmedOpsPerSec    float64 `json:"armed_ops_per_sec"`
-	ThroughputRatio   float64 `json:"throughput_ratio"`
-}
-
-// benchDispatchTracked mirrors benchDispatch with per-node credibility
-// tracking armed — the only cost an all-honest deployment pays is the
-// quarantine fast-path check on dispatch.
-func benchDispatchTracked(starved *atomic.Bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		const floor = 10_000
-		be, err := backend.New(backend.Config{
-			Clock: simtime.NewReal(), LeaseBase: time.Hour, TrackCredibility: true,
-		})
-		if err != nil {
-			starved.Store(true)
-			return
-		}
-		submitted := 0
-		for submitted < b.N+floor {
-			n := b.N + floor - submitted
-			if n > 100_000 {
-				n = 100_000
-			}
-			if _, err := be.Submit(backendJob(n)); err != nil {
-				starved.Store(true)
-				return
-			}
-			submitted += n
-		}
-		var nodeSeq atomic.Uint64
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			node := nodeSeq.Add(1)
-			for pb.Next() {
-				if _, ok := be.HandleRequest(&backend.TaskRequest{NodeID: node}).(*backend.TaskAssign); !ok {
-					starved.Store(true)
-					return
-				}
-			}
-		})
-	}
-}
-
-// onceOpsPerSec runs bench once and reports its throughput.
-func onceOpsPerSec(bench func(*atomic.Bool) func(b *testing.B)) (float64, error) {
-	var starved atomic.Bool
-	r := testing.Benchmark(bench(&starved))
-	if starved.Load() {
-		return 0, fmt.Errorf("dispatch starved with pending backlog")
-	}
-	if r.N == 0 || r.T <= 0 {
-		return 0, fmt.Errorf("no iterations recorded")
-	}
-	return float64(r.N) / r.T.Seconds(), nil
-}
 
 // abOpsPerSec interleaves baseline and armed runs (GC between each) and
 // keeps the best of three per side: back-to-back pairs see the same
@@ -102,73 +16,66 @@ func onceOpsPerSec(bench func(*atomic.Bool) func(b *testing.B)) (float64, error)
 func abOpsPerSec(baseline, armed func(*atomic.Bool) func(b *testing.B)) (baseBest, armedBest float64, err error) {
 	for i := 0; i < 3; i++ {
 		runtime.GC()
-		base, err := onceOpsPerSec(baseline)
+		base, err := measure(baseline)
 		if err != nil {
 			return 0, 0, fmt.Errorf("baseline: %w", err)
 		}
 		runtime.GC()
-		arm, err := onceOpsPerSec(armed)
+		arm, err := measure(armed)
 		if err != nil {
 			return 0, 0, fmt.Errorf("armed: %w", err)
 		}
-		baseBest = math.Max(baseBest, base)
-		armedBest = math.Max(armedBest, arm)
+		baseBest = math.Max(baseBest, base["ops_per_sec"])
+		armedBest = math.Max(armedBest, arm["ops_per_sec"])
 	}
 	return baseBest, armedBest, nil
 }
 
 // sweepAdversary runs the byzantine scenario grid (fraction ×
 // replication × seed), measures the honest-path dispatch overhead of
-// arming credibility tracking, writes BENCH_adversary.json, and
-// enforces three gates: zero wrong commits at Replication 5 for every
-// f ≤ 0.3 and seed, at least 95% of byzantine nodes quarantined in
-// every adversarial cell, and armed dispatch throughput within 3% of
-// the plain baseline.
-func sweepAdversary(w *csv.Writer, seed int64, outPath string) error {
-	if err := w.Write([]string{"fraction", "replication", "seed", "byzantine", "byz_quarantined",
-		"honest_quarantined", "committed", "wrong_commits", "unresolved", "conflicts", "lies", "makespan_sec"}); err != nil {
-		return err
-	}
+// arming credibility tracking, and enforces three gates: zero wrong
+// commits at Replication 5 for every f ≤ 0.3 and seed, at least 95% of
+// byzantine nodes quarantined in every adversarial cell, and armed
+// dispatch throughput within 3% of the plain baseline.
+func sweepAdversary(r *recorder, seed int64) error {
 	seeds := []int64{seed, 4181, 9973}
-	var rep adversaryReport
-	for _, r := range []int{3, 5} {
+	for _, rep := range []int{3, 5} {
 		for _, frac := range []float64{0, 0.1, 0.2, 0.3} {
 			for _, sd := range seeds {
 				out, err := experiments.RunByzantineScenario(experiments.ByzantineScenario{
-					Fraction: frac, Replication: r, Seed: sd,
+					Fraction: frac, Replication: rep, Seed: sd,
 				})
 				if err != nil {
 					return err
 				}
-				cell := adversaryCell{
-					Fraction: frac, Replication: r, Seed: sd,
-					Byzantine: out.Byzantine, ByzQuarantined: out.ByzQuarantined,
-					HonestQuarantined: out.HonestQuarantined,
-					Committed:         out.Committed, WrongCommits: out.WrongCommits,
-					Unresolved: out.Unresolved, Conflicts: out.Conflicts, Lies: out.Lies,
-					MakespanSec: out.Makespan.Seconds(),
-				}
-				rep.Cells = append(rep.Cells, cell)
-				if err := w.Write([]string{f(frac), fmt.Sprintf("%d", r), fmt.Sprintf("%d", sd),
-					fmt.Sprintf("%d", cell.Byzantine), fmt.Sprintf("%d", cell.ByzQuarantined),
-					fmt.Sprintf("%d", cell.HonestQuarantined), fmt.Sprintf("%d", cell.Committed),
-					fmt.Sprintf("%d", cell.WrongCommits), fmt.Sprintf("%d", cell.Unresolved),
-					fmt.Sprintf("%d", cell.Conflicts), fmt.Sprintf("%d", cell.Lies),
-					f(cell.MakespanSec)}); err != nil {
-					return err
-				}
+				cell := fmt.Sprintf("R=%d f=%.2f seed=%d", rep, frac, sd)
+				r.row(cell, map[string]float64{
+					"fraction":              frac,
+					"replication":           float64(rep),
+					"seed":                  float64(sd),
+					"byzantine_nodes":       float64(out.Byzantine),
+					"byzantine_quarantined": float64(out.ByzQuarantined),
+					"honest_quarantined":    float64(out.HonestQuarantined),
+					"committed":             float64(out.Committed),
+					"wrong_commits":         float64(out.WrongCommits),
+					"unresolved":            float64(out.Unresolved),
+					"conflicts":             float64(out.Conflicts),
+					"lies":                  float64(out.Lies),
+					"makespan_sec":          out.Makespan.Seconds(),
+				})
 				// Gate 1: at R=5 the quorum margin (3000 milli-credits vs
 				// colluder groups capped at 2000) makes wrong commits
 				// structurally impossible for these fractions.
-				if r == 5 && cell.WrongCommits != 0 {
-					return fmt.Errorf("adversary gate: %d wrong commits at R=5 f=%.2f seed=%d",
-						cell.WrongCommits, frac, sd)
+				if rep == 5 {
+					r.check("zero wrong commits "+cell, out.WrongCommits == 0,
+						"adversary gate: %d wrong commits at R=5 f=%.2f seed=%d", out.WrongCommits, frac, sd)
 				}
 				// Gate 2: the credibility/credential machinery must catch
 				// at least 95% of the byzantine population.
-				if cell.Byzantine > 0 && float64(cell.ByzQuarantined) < 0.95*float64(cell.Byzantine) {
-					return fmt.Errorf("adversary gate: %d/%d byzantine nodes quarantined at R=%d f=%.2f seed=%d (<95%%)",
-						cell.ByzQuarantined, cell.Byzantine, r, frac, sd)
+				if out.Byzantine > 0 {
+					r.check("byzantine quarantined "+cell, float64(out.ByzQuarantined) >= 0.95*float64(out.Byzantine),
+						"adversary gate: %d/%d byzantine nodes quarantined at R=%d f=%.2f seed=%d (<95%%)",
+						out.ByzQuarantined, out.Byzantine, rep, frac, sd)
 				}
 			}
 		}
@@ -176,27 +83,17 @@ func sweepAdversary(w *csv.Writer, seed int64, outPath string) error {
 
 	// Gate 3: arming credibility tracking must not cost the honest
 	// dispatch path more than 3% (A/B on the same binary, best of 3).
-	base, armed, err := abOpsPerSec(benchDispatch, benchDispatchTracked)
+	base, armed, err := abOpsPerSec(benchDispatch(false), benchDispatch(true))
 	if err != nil {
 		return fmt.Errorf("adversary throughput bench: %w", err)
 	}
-	rep.BaselineOpsPerSec, rep.ArmedOpsPerSec = base, armed
-	rep.ThroughputRatio = armed / base
-	if err := w.Write([]string{"dispatch_baseline_ops_per_sec", f(base), "", "", "", "", "", "", "", "", "", ""}); err != nil {
-		return err
-	}
-	if err := w.Write([]string{"dispatch_armed_ops_per_sec", f(armed), "", "", "", "", "", "", "", "", "", ""}); err != nil {
-		return err
-	}
-	if rep.ThroughputRatio < 0.97 {
-		return fmt.Errorf("adversary gate: armed dispatch at %.1f%% of baseline (floor 97%%)",
-			rep.ThroughputRatio*100)
-	}
-
-	blob, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	return os.WriteFile(outPath, blob, 0o644)
+	ratio := armed / base
+	r.row("dispatch_throughput", map[string]float64{
+		"baseline_ops_per_sec": base,
+		"armed_ops_per_sec":    armed,
+		"throughput_ratio":     ratio,
+	})
+	r.check("armed dispatch >= 97% of baseline", ratio >= 0.97,
+		"adversary gate: armed dispatch at %.1f%% of baseline (floor 97%%)", ratio*100)
+	return nil
 }

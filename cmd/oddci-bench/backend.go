@@ -1,10 +1,6 @@
 package main
 
 import (
-	"encoding/csv"
-	"encoding/json"
-	"fmt"
-	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,16 +10,6 @@ import (
 	"oddci/internal/workload"
 )
 
-// backendBenchResult is one row of BENCH_backend.json.
-type backendBenchResult struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
 func backendJob(n int) *workload.Job {
 	tasks := make([]workload.Task, n)
 	for i := range tasks {
@@ -32,25 +18,26 @@ func backendJob(n int) *workload.Job {
 	return &workload.Job{Name: "bench", Tasks: tasks}
 }
 
-// backendUnderTest builds a real-clock backend with tasks queued,
-// submitted as jobs of at most 100k tasks each.
-func backendUnderTest(tasks int) (*backend.Backend, error) {
-	be, err := backend.New(backend.Config{Clock: simtime.NewReal(), LeaseBase: time.Hour})
-	if err != nil {
-		return nil, err
-	}
-	submitted := 0
-	for submitted < tasks {
-		n := tasks - submitted
-		if n > 100_000 {
-			n = 100_000
-		}
+// submitBacklog queues tasks on be as jobs of at most 100k tasks each.
+func submitBacklog(be *backend.Backend, tasks int) error {
+	for submitted := 0; submitted < tasks; {
+		n := min(tasks-submitted, 100_000)
 		if _, err := be.Submit(backendJob(n)); err != nil {
-			return nil, err
+			return err
 		}
 		submitted += n
 	}
-	return be, nil
+	return nil
+}
+
+// backendUnderTest builds a real-clock backend with tasks queued; track
+// arms per-node credibility tracking.
+func backendUnderTest(tasks int, track bool) (*backend.Backend, error) {
+	be, err := backend.New(backend.Config{Clock: simtime.NewReal(), LeaseBase: time.Hour, TrackCredibility: track})
+	if err != nil {
+		return nil, err
+	}
+	return be, submitBacklog(be, tasks)
 }
 
 // The three harnesses mirror the Benchmark* functions in
@@ -58,32 +45,37 @@ func backendUnderTest(tasks int) (*backend.Backend, error) {
 // command report the same paths. starved flags a dispatch that came up
 // empty despite a pending backlog, which invalidates the measurement.
 
-func benchDispatch(starved *atomic.Bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		const floor = 10_000
-		be, err := backendUnderTest(b.N + floor)
-		if err != nil {
-			starved.Store(true)
-			return
-		}
-		var nodeSeq atomic.Uint64
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			node := nodeSeq.Add(1)
-			for pb.Next() {
-				if _, ok := be.HandleRequest(&backend.TaskRequest{NodeID: node}).(*backend.TaskAssign); !ok {
-					starved.Store(true)
-					return
-				}
+// benchDispatch measures dispatch; with track set, per-node credibility
+// tracking is armed — the only cost an all-honest deployment pays is
+// the quarantine fast-path check on dispatch.
+func benchDispatch(track bool) func(starved *atomic.Bool) func(b *testing.B) {
+	return func(starved *atomic.Bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			const floor = 10_000
+			be, err := backendUnderTest(b.N+floor, track)
+			if err != nil {
+				starved.Store(true)
+				return
 			}
-		})
+			var nodeSeq atomic.Uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				node := nodeSeq.Add(1)
+				for pb.Next() {
+					if _, ok := be.HandleRequest(&backend.TaskRequest{NodeID: node}).(*backend.TaskAssign); !ok {
+						starved.Store(true)
+						return
+					}
+				}
+			})
+		}
 	}
 }
 
 func benchResult(starved *atomic.Bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		be, err := backendUnderTest(b.N)
+		be, err := backendUnderTest(b.N, false)
 		if err != nil {
 			starved.Store(true)
 			return
@@ -113,7 +105,7 @@ func benchResult(starved *atomic.Bool) func(b *testing.B) {
 
 func benchEndToEnd(starved *atomic.Bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		be, err := backendUnderTest(((b.N / 100_000) + 1) * 100_000)
+		be, err := backendUnderTest(((b.N/100_000)+1)*100_000, false)
 		if err != nil {
 			starved.Store(true)
 			return
@@ -136,50 +128,10 @@ func benchEndToEnd(starved *atomic.Bool) func(b *testing.B) {
 	}
 }
 
-// sweepBackend benchmarks the scheduler hot paths, writes
-// BENCH_backend.json (or -out) for regression tracking, and mirrors the
-// numbers as CSV on stdout like the other sweeps.
-func sweepBackend(w *csv.Writer, outPath string) error {
-	if err := w.Write([]string{"bench", "ns_per_op", "ops_per_sec", "allocs_per_op", "bytes_per_op"}); err != nil {
-		return err
-	}
-	benches := []struct {
-		name string
-		fn   func(*atomic.Bool) func(b *testing.B)
-	}{
-		{"dispatch_parallel_10k_backlog", benchDispatch},
-		{"result_parallel", benchResult},
-		{"e2e_throughput_100k", benchEndToEnd},
-	}
-	var results []backendBenchResult
-	for _, bench := range benches {
-		var starved atomic.Bool
-		r := testing.Benchmark(bench.fn(&starved))
-		if starved.Load() {
-			return fmt.Errorf("backend bench %s: dispatch starved with pending backlog", bench.name)
-		}
-		if r.N == 0 || r.T <= 0 {
-			return fmt.Errorf("backend bench %s: no iterations recorded", bench.name)
-		}
-		res := backendBenchResult{
-			Name:        bench.name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			OpsPerSec:   float64(r.N) / r.T.Seconds(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-		results = append(results, res)
-		row := []string{res.Name, f(res.NsPerOp), f(res.OpsPerSec),
-			fmt.Sprintf("%d", res.AllocsPerOp), fmt.Sprintf("%d", res.BytesPerOp)}
-		if err := w.Write(row); err != nil {
-			return err
-		}
-	}
-	blob, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	return os.WriteFile(outPath, blob, 0o644)
+// sweepBackend benchmarks the scheduler hot paths.
+func sweepBackend(r *recorder, _ int64) error {
+	r.bench("dispatch_parallel_10k_backlog", benchDispatch(false))
+	r.bench("result_parallel", benchResult)
+	r.bench("e2e_throughput_100k", benchEndToEnd)
+	return nil
 }

@@ -2,12 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
-	"strconv"
 	"time"
 
 	"oddci/internal/dsmcc"
@@ -17,88 +14,17 @@ import (
 	"oddci/internal/simtime"
 )
 
-// fedConvRow is one convergence-scaling row: the same per-shard
-// population and target at growing shard counts must converge in
-// (nearly) the same simulated time — sharding the control plane buys
-// capacity, not latency.
-type fedConvRow struct {
-	Shards          int     `json:"shards"`
-	Population      int     `json:"population"`
-	Target          int     `json:"target"`
-	ConvergeSeconds float64 `json:"converge_seconds"`
-	RatioToBaseline float64 `json:"ratio_to_baseline"`
-	Wakeups         int     `json:"wakeups"`
-	DuplicateWakeup int     `json:"duplicate_wakeups"`
-	WallSeconds     float64 `json:"wall_seconds"`
-}
-
-// fedFailoverRow gates the journal failover path: kill one shard
-// mid-ramp, rebuild it from its journal, and the federation must
-// reconverge with zero duplicate wakeups and surviving busy members
-// re-adopted by heartbeat.
-type fedFailoverRow struct {
-	Shards          int     `json:"shards"`
-	Converged       bool    `json:"converged"`
-	ConvergeSeconds float64 `json:"converge_seconds"`
-	FailedOver      bool    `json:"failed_over"`
-	ReadoptedBusy   int     `json:"readopted_busy"`
-	DuplicateWakeup int     `json:"duplicate_wakeups"`
-	WallSeconds     float64 `json:"wall_seconds"`
-}
-
-// fedFleetRow is the population-scale run: the SoA fleet engine with
-// the consistent-hash shard overlay at 10⁶ PNAs, one shard killed and
-// journal-recovered mid-ramp.
-type fedFleetRow struct {
-	Nodes            int     `json:"nodes"`
-	Shards           int     `json:"shards"`
-	MaxOwnershipSkew float64 `json:"max_ownership_skew"`
-	WakeupBroadcasts int     `json:"wakeup_broadcasts"`
-	Readopted        int     `json:"readopted"`
-	PeakDownLag      int     `json:"peak_down_lag"`
-	LostNodes        int     `json:"lost_nodes"`
-	Validated        bool    `json:"validated"`
-	WallSeconds      float64 `json:"wall_seconds"`
-}
-
-// fedCacheRow gates the shared chunk-cache seam: k shard carousels air
-// the same image into one content-addressed store, so every shard
-// after the first stages from cache — hit rate → (k−1)/k.
-type fedCacheRow struct {
-	Shards  int     `json:"shards"`
-	Hits    int64   `json:"hits"`
-	Misses  int64   `json:"misses"`
-	HitRate float64 `json:"hit_rate"`
-}
-
-type federationBench struct {
-	Convergence []fedConvRow   `json:"convergence"`
-	Failover    fedFailoverRow `json:"failover"`
-	Fleet       fedFleetRow    `json:"fleet"`
-	SharedCache fedCacheRow    `json:"shared_cache"`
-}
-
 // Federation sweep gate bounds.
 const (
 	fedMaxConvRatio = 1.15 // convergence latency vs the 1-shard baseline
 	fedMinHitRate   = 0.70 // shared-cache hit rate at 4 shards
 )
 
-func sweepFederation(w *csv.Writer, seed int64, outPath string) error {
-	if err := w.Write([]string{
-		"scenario", "shards", "nodes", "converge_s", "ratio", "wakeups",
-		"dup_wakeups", "extra", "wall_s"}); err != nil {
-		return err
-	}
-
-	var bench federationBench
-	var firstViolation error
-	violate := func(format string, a ...any) {
-		if firstViolation == nil {
-			firstViolation = fmt.Errorf(format, a...)
-		}
-	}
-
+// sweepFederation gates the sharded control plane. Convergence scaling
+// runs the same per-shard population and target at growing shard
+// counts, which must converge in (nearly) the same simulated time —
+// sharding the control plane buys capacity, not latency.
+func sweepFederation(r *recorder, seed int64) error {
 	// Convergence scaling: fixed per-shard population and target, shard
 	// count 1 → 16. C = 10 s, so W ~ U(10 s, 20 s) and the analytic
 	// quorum sits well inside the window.
@@ -128,39 +54,33 @@ func sweepFederation(w *csv.Writer, seed int64, outPath string) error {
 		if err != nil {
 			return fmt.Errorf("federation convergence at %d shards: %w", shards, err)
 		}
-		if !res.Converged {
-			violate("federation gate: %d shards never converged", shards)
-		}
-		if res.DuplicateWakeup != 0 {
-			violate("federation gate: %d duplicate wakeups at %d shards", res.DuplicateWakeup, shards)
-		}
 		if shards == 1 {
 			baseline = res.ConvergeSeconds
 		}
 		ratio := res.ConvergeSeconds / baseline
-		if ratio > fedMaxConvRatio {
-			violate("federation gate: convergence at %d shards is %.2f× the 1-shard baseline (max %.2f)",
-				shards, ratio, fedMaxConvRatio)
-		}
-		bench.Convergence = append(bench.Convergence, fedConvRow{
-			Shards: shards, Population: perShardPop * shards,
-			Target:          perShardTarget * shards,
-			ConvergeSeconds: res.ConvergeSeconds, RatioToBaseline: ratio,
-			Wakeups: res.Wakeups, DuplicateWakeup: res.DuplicateWakeup,
-			WallSeconds: wall,
+		r.row(fmt.Sprintf("convergence_shards%d", shards), map[string]float64{
+			"shards":            float64(shards),
+			"population":        float64(perShardPop * shards),
+			"target":            float64(perShardTarget * shards),
+			"converge_seconds":  res.ConvergeSeconds,
+			"ratio_to_baseline": ratio,
+			"wakeups":           float64(res.Wakeups),
+			"duplicate_wakeups": float64(res.DuplicateWakeup),
+			"wall_seconds":      wall,
 		})
-		if err := w.Write([]string{
-			"convergence", strconv.Itoa(shards), strconv.Itoa(perShardPop * shards),
-			f(res.ConvergeSeconds), f(ratio), strconv.Itoa(res.Wakeups),
-			strconv.Itoa(res.DuplicateWakeup), "", f(wall)}); err != nil {
-			return err
-		}
-		w.Flush()
+		r.check(fmt.Sprintf("converged shards=%d", shards), res.Converged,
+			"federation gate: %d shards never converged", shards)
+		r.check(fmt.Sprintf("zero duplicate wakeups shards=%d", shards), res.DuplicateWakeup == 0,
+			"federation gate: %d duplicate wakeups at %d shards", res.DuplicateWakeup, shards)
+		r.check(fmt.Sprintf("convergence ratio shards=%d", shards), ratio <= fedMaxConvRatio,
+			"federation gate: convergence at %d shards is %.2f× the 1-shard baseline (max %.2f)",
+			shards, ratio, fedMaxConvRatio)
 	}
 
 	// Journal failover: kill a shard at half fill, rebuild from its
 	// journal 30 s later. Zero duplicate wakeups is the headline gate —
-	// recovery re-adopts by heartbeat, never re-airs.
+	// recovery re-adopts by heartbeat, never re-airs — and surviving
+	// busy members must be re-adopted by heartbeat.
 	dir, err := os.MkdirTemp("", "oddci-fed-bench")
 	if err != nil {
 		return err
@@ -181,30 +101,25 @@ func sweepFederation(w *csv.Writer, seed int64, outPath string) error {
 	if err != nil {
 		return fmt.Errorf("federation failover: %w", err)
 	}
-	if !fres.Converged || !fres.FailedOver {
-		violate("federation gate: failover run converged=%v failedOver=%v", fres.Converged, fres.FailedOver)
-	}
-	if fres.DuplicateWakeup != 0 {
-		violate("federation gate: %d duplicate wakeups across failover", fres.DuplicateWakeup)
-	}
-	if fres.ReadoptedBusy == 0 {
-		violate("federation gate: failover re-adopted no busy members")
-	}
-	bench.Failover = fedFailoverRow{
-		Shards: 4, Converged: fres.Converged, ConvergeSeconds: fres.ConvergeSeconds,
-		FailedOver: fres.FailedOver, ReadoptedBusy: fres.ReadoptedBusy,
-		DuplicateWakeup: fres.DuplicateWakeup, WallSeconds: fwall,
-	}
-	if err := w.Write([]string{
-		"failover", "4", strconv.Itoa(perShardPop * 4), f(fres.ConvergeSeconds), "",
-		strconv.Itoa(fres.Wakeups), strconv.Itoa(fres.DuplicateWakeup),
-		"readopted=" + strconv.Itoa(fres.ReadoptedBusy), f(fwall)}); err != nil {
-		return err
-	}
-	w.Flush()
+	r.row("failover", map[string]float64{
+		"shards":            4,
+		"converged":         b01(fres.Converged),
+		"converge_seconds":  fres.ConvergeSeconds,
+		"failed_over":       b01(fres.FailedOver),
+		"readopted_busy":    float64(fres.ReadoptedBusy),
+		"duplicate_wakeups": float64(fres.DuplicateWakeup),
+		"wall_seconds":      fwall,
+	})
+	r.check("failover converged", fres.Converged && fres.FailedOver,
+		"federation gate: failover run converged=%v failedOver=%v", fres.Converged, fres.FailedOver)
+	r.check("zero duplicate wakeups across failover", fres.DuplicateWakeup == 0,
+		"federation gate: %d duplicate wakeups across failover", fres.DuplicateWakeup)
+	r.check("failover re-adopts busy members", fres.ReadoptedBusy > 0,
+		"federation gate: failover re-adopted no busy members")
 
-	// Population scale: 16 shards over 10⁶ PNAs in the SoA engine, one
-	// shard killed mid-ramp and recovered by journal failover.
+	// Population scale: the SoA fleet engine with the consistent-hash
+	// shard overlay, 16 shards over 10⁶ PNAs, one shard killed mid-ramp
+	// and recovered by journal failover.
 	start = time.Now()
 	sres, err := fleet.RunSharded(fleet.ShardedConfig{
 		Config:    fleet.Config{Nodes: 1_000_000, Seed: seed},
@@ -216,55 +131,39 @@ func sweepFederation(w *csv.Writer, seed int64, outPath string) error {
 		return fmt.Errorf("sharded fleet: %w", err)
 	}
 	verr := sres.Validate()
+	r.row("fleet", map[string]float64{
+		"nodes":              1_000_000,
+		"shards":             16,
+		"max_ownership_skew": sres.MaxOwnershipSkew,
+		"wakeup_broadcasts":  float64(sres.WakeupBroadcasts),
+		"readopted":          float64(sres.Readopted),
+		"peak_down_lag":      float64(sres.PeakDownLag),
+		"lost_nodes":         float64(sres.LostNodes),
+		"validated":          b01(verr == nil),
+		"wall_seconds":       swall,
+	})
 	if verr != nil {
-		violate("federation gate: sharded fleet: %v", verr)
+		verr = fmt.Errorf("federation gate: sharded fleet: %v", verr)
 	}
-	bench.Fleet = fedFleetRow{
-		Nodes: 1_000_000, Shards: 16,
-		MaxOwnershipSkew: sres.MaxOwnershipSkew, WakeupBroadcasts: sres.WakeupBroadcasts,
-		Readopted: sres.Readopted, PeakDownLag: sres.PeakDownLag, LostNodes: sres.LostNodes,
-		Validated: verr == nil, WallSeconds: swall,
-	}
-	if err := w.Write([]string{
-		"fleet", "16", "1000000", "", f(sres.MaxOwnershipSkew),
-		strconv.Itoa(sres.WakeupBroadcasts), "0",
-		"readopted=" + strconv.Itoa(sres.Readopted), f(swall)}); err != nil {
-		return err
-	}
-	w.Flush()
+	r.gate("sharded fleet validates", verr)
 
 	// Shared chunk cache: 4 shard carousels airing the identical image
-	// into one store — shards 2..4 stage from cache.
+	// into one store — shards 2..4 stage from cache, so the hit rate
+	// tends to (k−1)/k.
 	cache, err := fedSharedCacheScenario(seed)
 	if err != nil {
 		return err
 	}
-	if cache.HitRate < fedMinHitRate {
-		violate("federation gate: shared-cache hit rate %.2f below %.2f", cache.HitRate, fedMinHitRate)
-	}
-	bench.SharedCache = cache
-	if err := w.Write([]string{
-		"shared_cache", strconv.Itoa(cache.Shards), "", "", f(cache.HitRate),
-		"", "", fmt.Sprintf("hits=%d misses=%d", cache.Hits, cache.Misses), ""}); err != nil {
-		return err
-	}
-	w.Flush()
-
-	blob, err := json.MarshalIndent(&bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, blob, 0o644); err != nil {
-		return err
-	}
-	return firstViolation
+	r.row("shared_cache", cache)
+	r.check("shared-cache hit rate", cache["hit_rate"] >= fedMinHitRate,
+		"federation gate: shared-cache hit rate %.2f below %.2f", cache["hit_rate"], fedMinHitRate)
+	return nil
 }
 
 // fedSharedCacheScenario airs one image from 4 shard carousels into a
 // shared content-addressed store and reports the aggregate hit rate.
-func fedSharedCacheScenario(seed int64) (fedCacheRow, error) {
+func fedSharedCacheScenario(seed int64) (map[string]float64, error) {
 	const shards = 4
-	row := fedCacheRow{Shards: shards}
 	clk := simtime.NewSim(time.Date(2009, 11, 1, 0, 0, 0, 0, time.UTC))
 	img := make([]byte, 1<<20)
 	rand.New(rand.NewSource(seed)).Read(img)
@@ -276,14 +175,14 @@ func fedSharedCacheScenario(seed int64) (fedCacheRow, error) {
 	for s := 0; s < shards; s++ {
 		car, err := dsmcc.NewCarousel(uint16(0x300+s), 0)
 		if err != nil {
-			return row, err
+			return nil, err
 		}
 		b, err := dsmcc.NewBroadcaster(clk, car, 1e6)
 		if err != nil {
-			return row, err
+			return nil, err
 		}
 		if err := b.Start([]dsmcc.File{{Name: "image", Data: img}}); err != nil {
-			return row, err
+			return nil, err
 		}
 		var fetchErr error
 		b.RequestFileCached("image", shared, dsmcc.FileGranularity, func(data []byte, _ time.Time, err error) {
@@ -295,12 +194,18 @@ func fedSharedCacheScenario(seed int64) (fedCacheRow, error) {
 		})
 		clk.Wait()
 		if fetchErr != nil {
-			return row, fetchErr
+			return nil, fetchErr
 		}
 	}
-	row.Hits, row.Misses = met.Hits(), met.Misses()
-	if total := row.Hits + row.Misses; total > 0 {
-		row.HitRate = float64(row.Hits) / float64(total)
+	hits, misses := met.Hits(), met.Misses()
+	hitRate := 0.0
+	if total := hits + misses; total > 0 {
+		hitRate = float64(hits) / float64(total)
 	}
-	return row, nil
+	return map[string]float64{
+		"shards":   shards,
+		"hits":     float64(hits),
+		"misses":   float64(misses),
+		"hit_rate": hitRate,
+	}, nil
 }

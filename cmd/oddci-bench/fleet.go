@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -13,37 +11,13 @@ import (
 	"oddci/internal/fleet"
 )
 
-// fleetBenchResult is one row of BENCH_fleet.json: the cost of one
-// fleet run at a given population, plus the cross-validation margins
-// against the analytic model.
-type fleetBenchResult struct {
-	Nodes        int     `json:"nodes"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	PeakRSSBytes int64   `json:"peak_rss_bytes"`
-
-	SimEvents    uint64 `json:"sim_events"`
-	WheelBatches uint64 `json:"wheel_batches"`
-	NodeEvents   uint64 `json:"node_events"`
-	Heartbeats   uint64 `json:"heartbeats"`
-
-	AvailAtWake        int     `json:"avail_at_wake"`
-	QuorumSimSeconds   float64 `json:"quorum_sim_seconds"`
-	QuorumModelSeconds float64 `json:"quorum_model_seconds"`
-
-	// MaxAvailErr and MaxRampErr are the worst |sim − model| across the
-	// two validated curves, as a fraction of the acceptance tolerance
-	// at that point: 1.0 is the gate boundary.
-	MaxAvailErr float64 `json:"max_avail_err_frac_of_tol"`
-	MaxRampErr  float64 `json:"max_ramp_err_frac_of_tol"`
-	Validated   bool    `json:"validated"`
-}
-
 // peakRSSBytes reads the process's resident high-water mark from
 // /proc/self/status (VmHWM); off Linux it falls back to the Go
 // runtime's view of memory obtained from the OS. Note the HWM is
 // process-wide and monotone, so with ascending populations each row
 // reports the peak up to and including its own run — the largest run
-// dominates, which is the number the gate cares about.
+// dominates, which is the number the gate cares about — and in a run of
+// several sweeps only those of the first sweep measure that sweep alone.
 func peakRSSBytes() int64 {
 	if data, err := os.ReadFile("/proc/self/status"); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {
@@ -79,66 +53,38 @@ func maxErrFrac(pts []fleet.Point) float64 {
 	return worst
 }
 
-// sweepFleet runs the million-PNA harness at ascending populations,
-// writes BENCH_fleet.json (or -out) as a regression gate, and mirrors
-// the cost rows as CSV on stdout. The gate fails if any run's
-// availability or ramp-up curve leaves its analytic bound, or the
-// quorum time disagrees with the model's inversion (see
-// fleet.Result.Validate for the exact tolerances).
-func sweepFleet(w *csv.Writer, seed int64, outPath string) error {
-	if err := w.Write([]string{
-		"nodes", "wall_seconds", "peak_rss_mib", "sim_events", "wheel_batches",
-		"node_events", "quorum_sim_s", "quorum_model_s", "max_ramp_err_frac"}); err != nil {
-		return err
-	}
-
-	var results []fleetBenchResult
-	var firstViolation error
+// sweepFleet runs the million-PNA harness at ascending populations.
+// The gate fails if any run's availability or ramp-up curve leaves its
+// analytic bound, or the quorum time disagrees with the model's
+// inversion (see fleet.Result.Validate for the exact tolerances).
+func sweepFleet(r *recorder, seed int64) error {
 	for _, n := range []int{1_000, 10_000, 100_000, 1_000_000} {
 		start := time.Now()
-		r, err := fleet.Run(fleet.Config{Nodes: n, Seed: seed})
+		res, err := fleet.Run(fleet.Config{Nodes: n, Seed: seed})
 		if err != nil {
 			return err
 		}
 		wall := time.Since(start).Seconds()
-
-		verr := r.Validate()
-		if verr != nil && firstViolation == nil {
-			firstViolation = fmt.Errorf("fleet gate at n=%d: %w", n, verr)
+		verr := res.Validate()
+		r.row(fmt.Sprintf("n%d", n), map[string]float64{
+			"nodes":                     float64(n),
+			"wall_seconds":              wall,
+			"peak_rss_bytes":            float64(peakRSSBytes()),
+			"sim_events":                float64(res.SimEvents),
+			"wheel_batches":             float64(res.WheelBatches),
+			"node_events":               float64(res.NodeEvents),
+			"heartbeats":                float64(res.Heartbeats),
+			"avail_at_wake":             float64(res.AvailAtWake),
+			"quorum_sim_seconds":        res.QuorumSimSeconds,
+			"quorum_model_seconds":      res.QuorumModelSeconds,
+			"max_avail_err_frac_of_tol": maxErrFrac(res.Avail),
+			"max_ramp_err_frac_of_tol":  maxErrFrac(res.Ramp),
+			"validated":                 b01(verr == nil),
+		})
+		if verr != nil {
+			verr = fmt.Errorf("fleet gate at n=%d: %w", n, verr)
 		}
-		row := fleetBenchResult{
-			Nodes:              n,
-			WallSeconds:        wall,
-			PeakRSSBytes:       peakRSSBytes(),
-			SimEvents:          r.SimEvents,
-			WheelBatches:       r.WheelBatches,
-			NodeEvents:         r.NodeEvents,
-			Heartbeats:         r.Heartbeats,
-			AvailAtWake:        r.AvailAtWake,
-			QuorumSimSeconds:   r.QuorumSimSeconds,
-			QuorumModelSeconds: r.QuorumModelSeconds,
-			MaxAvailErr:        maxErrFrac(r.Avail),
-			MaxRampErr:         maxErrFrac(r.Ramp),
-			Validated:          verr == nil,
-		}
-		results = append(results, row)
-
-		if err := w.Write([]string{
-			strconv.Itoa(n), f(wall), f(float64(row.PeakRSSBytes) / (1 << 20)),
-			strconv.FormatUint(r.SimEvents, 10), strconv.FormatUint(r.WheelBatches, 10),
-			strconv.FormatUint(r.NodeEvents, 10),
-			f(r.QuorumSimSeconds), f(r.QuorumModelSeconds), f(row.MaxRampErr)}); err != nil {
-			return err
-		}
-		w.Flush()
+		r.gate(fmt.Sprintf("validate n=%d", n), verr)
 	}
-
-	blob, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, blob, 0o644); err != nil {
-		return err
-	}
-	return firstViolation
+	return nil
 }

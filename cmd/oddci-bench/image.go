@@ -1,15 +1,10 @@
 package main
 
 import (
-	"encoding/csv"
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"sync"
-
-	"bytes"
 
 	"oddci/internal/appimage"
 	"oddci/internal/dsmcc"
@@ -34,122 +29,52 @@ import (
 const (
 	imageBenchModules    = 16
 	imageBenchModuleSize = 64 << 10
+	imageMaxRatio        = 1.25 // delta re-air wire bytes per changed byte
 )
 
-type imageDeltaRow struct {
-	ChangedModules int     `json:"changed_modules"`
-	ChangedBytes   int64   `json:"changed_bytes"`
-	DeltaWireBytes int64   `json:"delta_wire_bytes"`
-	FullWireBytes  int64   `json:"full_wire_bytes"`
-	Ratio          float64 `json:"ratio"`
-	Savings        float64 `json:"savings"`
-	WarmConverged  bool    `json:"warm_converged"`
-	CacheHits      int64   `json:"cache_hits"`
-	LegacyCycles   int     `json:"legacy_cycles_under_loss"`
-}
-
-type imageStageRow struct {
-	Sessions      int   `json:"sessions"`
-	JoinEncodes   int64 `json:"join_encodes"`
-	UpdateEncodes int64 `json:"update_encodes"`
-	Restages      int   `json:"restages"`
-}
-
-type imageBenchReport struct {
-	MaxRatio float64         `json:"max_ratio_allowed"`
-	Delta    []imageDeltaRow `json:"delta"`
-	Staging  []imageStageRow `json:"staging"`
-	Pass     bool            `json:"pass"`
-}
-
-func sweepImage(w *csv.Writer, seed int64, out string) error {
-	report := imageBenchReport{MaxRatio: 1.25}
-
-	if err := w.Write([]string{"section", "sessions_or_changed", "changed_bytes",
-		"delta_wire_bytes", "full_wire_bytes", "ratio", "detail"}); err != nil {
-		return err
-	}
+func sweepImage(r *recorder, seed int64) error {
 	for _, k := range []int{1, 4, 16} {
-		row, err := imageDeltaCase(seed, k)
+		m, err := imageDeltaCase(seed, k)
 		if err != nil {
 			return err
 		}
-		report.Delta = append(report.Delta, row)
-		if err := w.Write([]string{"dsmcc", strconv.Itoa(k),
-			strconv.FormatInt(row.ChangedBytes, 10),
-			strconv.FormatInt(row.DeltaWireBytes, 10),
-			strconv.FormatInt(row.FullWireBytes, 10),
-			f(row.Ratio),
-			fmt.Sprintf("cache_hits=%d legacy_cycles=%d", row.CacheHits, row.LegacyCycles)}); err != nil {
-			return err
-		}
+		r.row(fmt.Sprintf("delta_k%d", k), m)
+		r.check(fmt.Sprintf("delta ratio k=%d", k), m["ratio"] <= imageMaxRatio,
+			"image gate: delta of %d modules costs %.0f wire bytes for %.0f changed bytes (ratio %.3f > %.2f)",
+			k, m["delta_wire_bytes"], m["changed_bytes"], m["ratio"], imageMaxRatio)
+		r.check(fmt.Sprintf("warm converged k=%d", k), m["warm_converged"] == 1,
+			"image gate: warm receiver failed to converge from a %d-module delta", k)
+		r.check(fmt.Sprintf("legacy converged k=%d", k), m["legacy_cycles_under_loss"] > 0,
+			"image gate: legacy receiver never converged under loss (delta of %d modules)", k)
 	}
 
+	var first map[string]float64
 	for _, sessions := range []int{1, 16} {
-		row, err := imageStageCase(seed, sessions)
+		m, err := imageStageCase(seed, sessions)
 		if err != nil {
 			return err
 		}
-		report.Staging = append(report.Staging, row)
-		if err := w.Write([]string{"transport", strconv.Itoa(sessions), "", "", "", "",
-			fmt.Sprintf("join_encodes=%d update_encodes=%d restages=%d",
-				row.JoinEncodes, row.UpdateEncodes, row.Restages)}); err != nil {
-			return err
+		r.row(fmt.Sprintf("staging_n%d", sessions), m)
+		if first == nil {
+			first = m
+			continue
 		}
+		r.check(fmt.Sprintf("staging encodes flat n=1 vs n=%d", sessions),
+			m["join_encodes"] == first["join_encodes"] && m["update_encodes"] == first["update_encodes"],
+			"image gate: staging encodes not flat in session count: %.0f sessions cost join=%.0f update=%.0f, %.0f sessions cost join=%.0f update=%.0f",
+			first["sessions"], first["join_encodes"], first["update_encodes"],
+			m["sessions"], m["join_encodes"], m["update_encodes"])
 	}
-	w.Flush()
-
-	// Gates. Fail in-process so CI catches a regression without parsing
-	// the JSON.
-	report.Pass = true
-	var fail error
-	for _, r := range report.Delta {
-		if r.Ratio > report.MaxRatio {
-			report.Pass = false
-			fail = fmt.Errorf("image gate: delta of %d modules costs %d wire bytes for %d changed bytes (ratio %.3f > %.2f)",
-				r.ChangedModules, r.DeltaWireBytes, r.ChangedBytes, r.Ratio, report.MaxRatio)
-		}
-		if !r.WarmConverged {
-			report.Pass = false
-			fail = fmt.Errorf("image gate: warm receiver failed to converge from a %d-module delta", r.ChangedModules)
-		}
-		if r.LegacyCycles <= 0 {
-			report.Pass = false
-			fail = fmt.Errorf("image gate: legacy receiver never converged under loss (delta of %d modules)", r.ChangedModules)
-		}
-	}
-	first := report.Staging[0]
-	for _, r := range report.Staging {
-		if r.JoinEncodes != first.JoinEncodes || r.UpdateEncodes != first.UpdateEncodes {
-			report.Pass = false
-			fail = fmt.Errorf("image gate: staging encodes not flat in session count: %d sessions cost join=%d update=%d, %d sessions cost join=%d update=%d",
-				first.Sessions, first.JoinEncodes, first.UpdateEncodes,
-				r.Sessions, r.JoinEncodes, r.UpdateEncodes)
-		}
-	}
-
-	raw, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	if fail != nil {
-		return fail
-	}
-	fmt.Fprintf(os.Stderr, "image sweep: gates passed, wrote %s\n", out)
 	return nil
 }
 
 // imageDeltaCase measures one carousel delta re-air with k changed
 // modules and proves both receiver generations assemble correctly.
-func imageDeltaCase(seed int64, k int) (imageDeltaRow, error) {
-	row := imageDeltaRow{ChangedModules: k}
+func imageDeltaCase(seed int64, k int) (map[string]float64, error) {
 	rng := rand.New(rand.NewSource(seed))
 	c, err := dsmcc.NewCarousel(0x420, 0)
 	if err != nil {
-		return row, err
+		return nil, err
 	}
 	files := make([]dsmcc.File, imageBenchModules)
 	for i := range files {
@@ -158,11 +83,11 @@ func imageDeltaCase(seed int64, k int) (imageDeltaRow, error) {
 		files[i] = dsmcc.File{Name: fmt.Sprintf("m%02d", i), Data: data}
 	}
 	if err := c.SetFiles(files); err != nil {
-		return row, err
+		return nil, err
 	}
 	full, err := c.EncodeCycle()
 	if err != nil {
-		return row, err
+		return nil, err
 	}
 
 	// Warm up a hash-aware receiver (and its chunk cache) on gen 1.
@@ -174,7 +99,7 @@ func imageDeltaCase(seed int64, k int) (imageDeltaRow, error) {
 	}
 	for _, f := range files {
 		if got, ok := warm.File(f.Name); !ok || len(got) != len(f.Data) {
-			return row, fmt.Errorf("warm receiver failed to assemble %s at gen 1", f.Name)
+			return nil, fmt.Errorf("warm receiver failed to assemble %s at gen 1", f.Name)
 		}
 	}
 
@@ -185,21 +110,25 @@ func imageDeltaCase(seed int64, k int) (imageDeltaRow, error) {
 		files[i] = dsmcc.File{Name: files[i].Name, Data: data}
 	}
 	if err := c.SetFiles(files); err != nil {
-		return row, err
+		return nil, err
 	}
 	layout, err := c.Layout()
 	if err != nil {
-		return row, err
+		return nil, err
 	}
-	row.ChangedBytes = int64(k) * imageBenchModuleSize
-	row.DeltaWireBytes = layout.DeltaWire
-	row.FullWireBytes = layout.CycleWire
-	row.Ratio = float64(row.DeltaWireBytes) / float64(row.ChangedBytes)
-	row.Savings = 1 - float64(row.DeltaWireBytes)/float64(row.FullWireBytes)
+	changed := float64(k * imageBenchModuleSize)
+	row := map[string]float64{
+		"changed_modules":  float64(k),
+		"changed_bytes":    changed,
+		"delta_wire_bytes": float64(layout.DeltaWire),
+		"full_wire_bytes":  float64(layout.CycleWire),
+		"ratio":            float64(layout.DeltaWire) / changed,
+		"savings":          1 - float64(layout.DeltaWire)/float64(layout.CycleWire),
+	}
 
 	delta, err := c.EncodeDeltaCycle()
 	if err != nil {
-		return row, err
+		return nil, err
 	}
 	// The receiver that followed gen 1 converges from the delta alone;
 	// so does a cold receiver sharing only the warm chunk cache.
@@ -211,16 +140,18 @@ func imageDeltaCase(seed int64, k int) (imageDeltaRow, error) {
 		warm.HandleSection(s)
 		cold.HandleSection(s)
 	}
-	row.WarmConverged = true
+	warmConverged := true
 	for _, f := range files {
 		for _, r := range []*dsmcc.Receiver{warm, cold} {
 			got, ok := r.File(f.Name)
 			if !ok || !bytes.Equal(got, f.Data) {
-				row.WarmConverged = false
+				warmConverged = false
 			}
 		}
 	}
-	row.CacheHits = met.Hits()
+	row["warm_converged"] = b01(warmConverged)
+	row["cache_hits"] = float64(met.Hits())
+	row["legacy_cycles_under_loss"] = 0
 
 	// Mixed-version interop under fault injection: a hash-unaware
 	// receiver ignores the delta plane and converges from lossy full
@@ -234,7 +165,7 @@ func imageDeltaCase(seed int64, k int) (imageDeltaRow, error) {
 	for cycle := 1; cycle <= 20; cycle++ {
 		secs, err := c.EncodeCycle()
 		if err != nil {
-			return row, err
+			return nil, err
 		}
 		for _, s := range secs {
 			if lossRng.Float64() < 0.2 {
@@ -251,7 +182,7 @@ func imageDeltaCase(seed int64, k int) (imageDeltaRow, error) {
 			}
 		}
 		if done {
-			row.LegacyCycles = cycle
+			row["legacy_cycles_under_loss"] = float64(cycle)
 			break
 		}
 	}
@@ -261,8 +192,7 @@ func imageDeltaCase(seed int64, k int) (imageDeltaRow, error) {
 // imageStageCase serves n full node sessions from one coordinator, then
 // updates one 64 KiB chunk of the staged image, and reports the encode
 // cost of each phase. Both must be independent of n.
-func imageStageCase(seed int64, n int) (imageStageRow, error) {
-	row := imageStageRow{Sessions: n}
+func imageStageCase(seed int64, n int) (map[string]float64, error) {
 	payload := make([]byte, imageBenchModules*imageBenchModuleSize)
 	rand.New(rand.NewSource(seed)).Read(payload)
 	img := &appimage.Image{Name: "bench", Version: 1, EntryPoint: "w",
@@ -274,7 +204,7 @@ func imageStageCase(seed int64, n int) (imageStageRow, error) {
 		ImageChunkBytes: imageBenchModuleSize,
 	})
 	if err != nil {
-		return row, err
+		return nil, err
 	}
 	defer coord.Close()
 	go coord.Serve()
@@ -284,12 +214,13 @@ func imageStageCase(seed int64, n int) (imageStageRow, error) {
 		InputBytes: 64, OutputBytes: 64, MeanSeconds: 0.5}
 	job, err := g.Generate()
 	if err != nil {
-		return row, err
+		return nil, err
 	}
 	if _, err := coord.Submit(job); err != nil {
-		return row, err
+		return nil, err
 	}
 	var wg sync.WaitGroup
+	restages := 0
 	reports := make([]transport.NodeReport, n)
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -306,14 +237,14 @@ func imageStageCase(seed int64, n int) (imageStageRow, error) {
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
-			return row, fmt.Errorf("node %d: %w", i+1, errs[i])
+			return nil, fmt.Errorf("node %d: %w", i+1, errs[i])
 		}
 		if !reports[i].Joined || !reports[i].DeltaImage {
-			return row, fmt.Errorf("node %d did not join over the delta plane: %+v", i+1, reports[i])
+			return nil, fmt.Errorf("node %d did not join over the delta plane: %+v", i+1, reports[i])
 		}
-		row.Restages += reports[i].Restages
+		restages += reports[i].Restages
 	}
-	row.JoinEncodes = coord.BroadcastEncodes() - construction // must be 0
+	joinEncodes := coord.BroadcastEncodes() - construction // must be 0
 
 	// One-chunk recompose: flip bytes inside a single 64 KiB chunk.
 	img2 := &appimage.Image{Name: "bench", Version: 1, EntryPoint: "w",
@@ -323,8 +254,12 @@ func imageStageCase(seed int64, n int) (imageStageRow, error) {
 	}
 	before := coord.BroadcastEncodes()
 	if err := coord.UpdateImage(img2); err != nil {
-		return row, err
+		return nil, err
 	}
-	row.UpdateEncodes = coord.BroadcastEncodes() - before
-	return row, nil
+	return map[string]float64{
+		"sessions":       float64(n),
+		"join_encodes":   float64(joinEncodes),
+		"update_encodes": float64(coord.BroadcastEncodes() - before),
+		"restages":       float64(restages),
+	}, nil
 }

@@ -1,78 +1,52 @@
-// Command oddci-bench emits machine-readable CSV sweeps of the core
-// models, for plotting or regression tracking:
+// Command oddci-bench runs two kinds of sweep.
+//
+// The plot sweeps emit machine-readable CSV of the core models on
+// stdout, for plotting:
 //
 //	oddci-bench -sweep fig6  > fig6.csv
 //	oddci-bench -sweep fig7  > fig7.csv
 //	oddci-bench -sweep table1 > table1.csv
 //	oddci-bench -sweep churn  > churn.csv
 //
-// The backend sweep instead benchmarks the scheduler hot paths
-// (dispatch, result commit, end-to-end round trips) and writes a JSON
-// regression gate with ops/sec and allocs/op per path, mirrored as CSV
-// on stdout:
+// The gate sweeps check the paper's claims on the real components and
+// enforce regression gates. Any comma-separated list of them runs in one
+// process and writes one JSON report — {env, rows, gates} — to -out (or
+// stdout); the command then exits non-zero naming every failed gate:
 //
-//	oddci-bench -sweep backend -out BENCH_backend.json
+//	oddci-bench -sweep fleet,backend,transport,obs,adversary,image,federation -out BENCH.json
 //
-// The transport sweep benchmarks the TCP fast path over loopback
-// (broadcast staging, heartbeat round trips, task hand-offs in both
-// codecs) and enforces two invariants: the broadcast encode counter
-// stays flat from 1 to 100 sessions, and the binary task plane cuts
-// allocs per hand-off at least 2x versus the JSON baseline:
+// The gate sweeps and what they check:
 //
-//	oddci-bench -sweep transport -out BENCH_transport.json
-//
-// The fleet sweep drives the million-PNA simulation harness
-// (internal/fleet) through wakeup→quorum at populations from 10³ to
-// 10⁶, recording wall clock, peak RSS, and event counts per run, and
-// fails if any run's availability or ramp-up curve leaves its analytic
-// tolerance:
-//
-//	oddci-bench -sweep fleet -out BENCH_fleet.json
-//
-// The obs sweep is the tracing overhead gate: it measures the binary
-// task hand-off against a coordinator carrying a sampled-off span
-// collector versus the untraced baseline, and fails if the sampled-off
-// hot path regresses more than 2% or allocates:
-//
-//	oddci-bench -sweep obs -out BENCH_obs.json
-//
-// The adversary sweep runs full byzantine deployments (fraction ×
-// replication × seed) against the credibility-weighted quorum and gates
-// on zero wrong commits at Replication 5, ≥95% byzantine quarantine,
-// and armed dispatch throughput within 3% of baseline:
-//
-//	oddci-bench -sweep adversary -out BENCH_adversary.json
-//
-// The image sweep gates the content-addressed delta distribution path:
-// a 16-module carousel re-airs 1/16, 1/4 and full deltas (re-air wire
-// bytes must stay ≤1.25× the changed payload, warm receivers converge
-// from the delta alone, legacy receivers converge from lossy full
-// cycles), and transport staging encodes must be flat from 1 to 16
-// sessions with a one-chunk UpdateImage costing exactly one re-encoded
-// chunk:
-//
-//	oddci-bench -sweep image -out BENCH_image.json
-//
-// The federation sweep gates the sharded control plane: convergence
-// latency at 1→16 consistent-hash coordinator shards (fixed per-shard
-// population) must stay within 1.15× the single-shard baseline; a
-// kill-one-shard run must fail over from its journal and reconverge
-// with zero duplicate wakeups; the SoA fleet engine re-runs the claim
-// at 10⁶ PNAs with a mid-ramp kill/recover; and four shard carousels
-// airing one image through a shared chunk cache must hit on every
-// shard after the first:
-//
-//	oddci-bench -sweep federation -out BENCH_federation.json
+//   - fleet: the million-PNA harness (internal/fleet) through
+//     wakeup→quorum at 10³…10⁶ PNAs; wall clock, peak RSS and event
+//     counts per run, gated on fleet.Result.Validate at every size.
+//     Peak RSS is the process's high-water mark, so fleet runs first.
+//   - backend: the scheduler hot paths (dispatch, result commit, round
+//     trips); a dispatch starved despite a backlog invalidates the run.
+//   - transport: the TCP fast path over loopback; broadcast encodes flat
+//     from 1 to 100 staging sessions, and the binary task plane cutting
+//     allocs per hand-off at least 2× versus JSON.
+//   - obs: the task hand-off with a sampled-off span collector versus
+//     none (interleaved, min of 6): at most 2% slower, no extra allocs.
+//   - adversary: byzantine deployments (fraction × replication × seed):
+//     zero wrong commits at Replication 5, ≥95% of byzantine nodes
+//     quarantined in every cell, armed dispatch ≥97% of baseline.
+//   - image: delta re-air of 1, 4 and 16 of 16 modules at ≤1.25× the
+//     changed bytes, warm and legacy receivers converging, and transport
+//     staging encodes flat from 1 to 16 sessions.
+//   - federation: convergence at 1→16 shards within 1.15× one shard,
+//     journal failover with zero duplicate wakeups, the sharded SoA fleet
+//     at 10⁶ PNAs, and a shared chunk cache hitting ≥70%.
 package main
 
 import (
 	"encoding/csv"
 	"flag"
-	"fmt"
 	"log"
 	"math"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"oddci/internal/analytic"
@@ -80,62 +54,32 @@ import (
 	"oddci/internal/sim"
 )
 
+// plotSweeps write CSV on stdout and carry no gate.
+var plotSweeps = map[string]func(w *csv.Writer, seed int64, nodes int) error{
+	"fig6":   func(w *csv.Writer, seed int64, nodes int) error { return sweepFig(w, "fig6", seed, nodes) },
+	"fig7":   func(w *csv.Writer, seed int64, nodes int) error { return sweepFig(w, "fig7", seed, nodes) },
+	"table1": func(w *csv.Writer, _ int64, _ int) error { return sweepTable1(w) },
+	"churn":  sweepChurn,
+}
+
 func main() {
 	var (
-		sweep = flag.String("sweep", "fig6", "one of fig6, fig7, table1, churn, backend, transport, fleet, obs, adversary, image, federation")
+		sweep = flag.String("sweep", "fig6", "one plot sweep (fig6, fig7, table1, churn), or a comma-separated list of gate sweeps (fleet, backend, transport, obs, adversary, image, federation)")
 		seed  = flag.Int64("seed", 2009, "random seed")
 		nodes = flag.Int("nodes", 200, "DES population for validated sweeps")
-		out   = flag.String("out", "", "output file for the backend/transport sweeps' JSON gate (default BENCH_<sweep>.json)")
+		out   = flag.String("out", "", "output file for the gate sweeps' JSON report (default stdout)")
 	)
 	flag.Parse()
-	w := csv.NewWriter(os.Stdout)
-	defer w.Flush()
 
 	var err error
-	switch *sweep {
-	case "fig6", "fig7":
-		err = sweepFig(w, *sweep, *seed, *nodes)
-	case "table1":
-		err = sweepTable1(w)
-	case "churn":
-		err = sweepChurn(w, *seed, *nodes)
-	case "backend":
-		if *out == "" {
-			*out = "BENCH_backend.json"
+	if plot, ok := plotSweeps[*sweep]; ok {
+		w := csv.NewWriter(os.Stdout)
+		if err = plot(w, *seed, *nodes); err == nil {
+			w.Flush()
+			err = w.Error()
 		}
-		err = sweepBackend(w, *out)
-	case "transport":
-		if *out == "" {
-			*out = "BENCH_transport.json"
-		}
-		err = sweepTransport(w, *out)
-	case "fleet":
-		if *out == "" {
-			*out = "BENCH_fleet.json"
-		}
-		err = sweepFleet(w, *seed, *out)
-	case "obs":
-		if *out == "" {
-			*out = "BENCH_obs.json"
-		}
-		err = sweepObs(w, *out)
-	case "adversary":
-		if *out == "" {
-			*out = "BENCH_adversary.json"
-		}
-		err = sweepAdversary(w, *seed, *out)
-	case "image":
-		if *out == "" {
-			*out = "BENCH_image.json"
-		}
-		err = sweepImage(w, *seed, *out)
-	case "federation":
-		if *out == "" {
-			*out = "BENCH_federation.json"
-		}
-		err = sweepFederation(w, *seed, *out)
-	default:
-		err = fmt.Errorf("unknown sweep %q", *sweep)
+	} else {
+		err = runGates(strings.Split(*sweep, ","), *seed, *out)
 	}
 	if err != nil {
 		log.Fatal(err)

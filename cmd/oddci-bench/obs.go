@@ -1,13 +1,6 @@
 package main
 
 import (
-	"encoding/csv"
-	"encoding/json"
-	"fmt"
-	"os"
-	"sync/atomic"
-	"testing"
-
 	"oddci/internal/span"
 )
 
@@ -17,97 +10,50 @@ import (
 // untraced baseline — i.e. sampled-off tracing is noise, not a tax.
 const obsOverheadLimit = 0.02
 
-// obsBenchResult is one row of BENCH_obs.json.
-type obsBenchResult struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	// OverheadFrac is only set on the summary row: sampled-off ns/op
-	// relative to the untraced baseline, minus one.
-	OverheadFrac float64 `json:"overhead_frac,omitempty"`
-}
-
-// oneRound runs the hand-off benchmark once against a coordinator
-// carrying the given collector.
-func oneRound(spans *span.Collector) (obsBenchResult, error) {
-	var failed atomic.Bool
-	r := testing.Benchmark(benchTaskHandoffSpans(true, spans, &failed))
-	if failed.Load() {
-		return obsBenchResult{}, fmt.Errorf("obs bench: measurement invalidated")
-	}
-	if r.N == 0 || r.T <= 0 {
-		return obsBenchResult{}, fmt.Errorf("obs bench: no iterations recorded")
-	}
-	return obsBenchResult{
-		Iterations:  r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-	}, nil
-}
-
-// keepMin folds one round into the running best. A loopback hand-off
-// is a ~17 µs syscall round trip, so single rounds wander by several
-// percent; min-of-K converges on the true floor, and the caller
+// faster keeps the better of the running best and one round. A
+// loopback hand-off is a ~17 µs syscall round trip, so single rounds
+// wander by several percent; min-of-K converges on the true floor, and the caller
 // interleaves baseline and sampled-off rounds so clock drift and
 // thermal state hit both sides equally.
-func keepMin(best *obsBenchResult, r obsBenchResult) {
-	if best.Iterations == 0 || r.NsPerOp < best.NsPerOp {
-		*best = r
+func faster(best, m map[string]float64) map[string]float64 {
+	if best == nil || m["ns_per_op"] < best["ns_per_op"] {
+		return m
 	}
+	return best
 }
 
 // sweepObs measures the tracing overhead gate: the binary task hand-off
 // with a sampled-off collector versus the untraced baseline, in one
-// process. Writes BENCH_obs.json (or -out) and fails when the
-// sampled-off path regresses past obsOverheadLimit.
-func sweepObs(w *csv.Writer, outPath string) error {
-	if err := w.Write([]string{"bench", "iterations", "ns_per_op", "allocs_per_op", "overhead_frac"}); err != nil {
-		return err
-	}
+// process. It fails when the sampled-off path allocates more or
+// regresses past obsOverheadLimit.
+func sweepObs(r *recorder, _ int64) error {
 	// Sampled-off: the collector is live and negotiates trace_ctx, but
 	// every head-based draw loses — the hot path pays only the nil-span
 	// checks, which is the deployment default worth guarding.
 	offSpans := span.NewCollector(span.Config{Capacity: 4096, SampleRate: -1})
 	const rounds = 6
-	var base, off obsBenchResult
+	var base, off map[string]float64
 	for i := 0; i < rounds; i++ {
-		r, err := oneRound(nil)
+		m, err := measure(benchTaskHandoff(true, nil))
 		if err != nil {
 			return err
 		}
-		keepMin(&base, r)
-		r, err = oneRound(offSpans)
-		if err != nil {
+		base = faster(base, m)
+		if m, err = measure(benchTaskHandoff(true, offSpans)); err != nil {
 			return err
 		}
-		keepMin(&off, r)
+		off = faster(off, m)
 	}
-	base.Name = "task_handoff_untraced"
-	off.Name = "task_handoff_sampled_off"
+	overhead := off["ns_per_op"]/base["ns_per_op"] - 1
+	r.row("task_handoff_untraced", base)
+	r.row("task_handoff_sampled_off", off)
+	r.row("overhead", map[string]float64{"overhead_frac": overhead})
 
-	overhead := off.NsPerOp/base.NsPerOp - 1
-	summary := obsBenchResult{Name: "overhead", OverheadFrac: overhead}
-	results := []obsBenchResult{base, off, summary}
-	for _, res := range results {
-		if err := w.Write([]string{res.Name, fmt.Sprintf("%d", res.Iterations),
-			f(res.NsPerOp), fmt.Sprintf("%d", res.AllocsPerOp), f(res.OverheadFrac)}); err != nil {
-			return err
-		}
-	}
-	if off.AllocsPerOp > base.AllocsPerOp {
-		return fmt.Errorf("sampled-off tracing allocates on the hot path: %d allocs/op vs %d untraced",
-			off.AllocsPerOp, base.AllocsPerOp)
-	}
-	if overhead > obsOverheadLimit {
-		return fmt.Errorf("sampled-off tracing overhead %.2f%% exceeds the %.0f%% gate (%.1f ns/op vs %.1f ns/op)",
-			overhead*100, obsOverheadLimit*100, off.NsPerOp, base.NsPerOp)
-	}
-
-	blob, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	return os.WriteFile(outPath, blob, 0o644)
+	r.check("sampled-off allocs", off["allocs_per_op"] <= base["allocs_per_op"],
+		"sampled-off tracing allocates on the hot path: %.0f allocs/op vs %.0f untraced",
+		off["allocs_per_op"], base["allocs_per_op"])
+	r.check("sampled-off overhead <= 2%", overhead <= obsOverheadLimit,
+		"sampled-off tracing overhead %.2f%% exceeds the %.0f%% gate (%.1f ns/op vs %.1f ns/op)",
+		overhead*100, obsOverheadLimit*100, off["ns_per_op"], base["ns_per_op"])
+	return nil
 }

@@ -2,11 +2,9 @@ package main
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,19 +16,6 @@ import (
 	"oddci/internal/span"
 	"oddci/internal/transport"
 )
-
-// transportBenchResult is one row of BENCH_transport.json.
-type transportBenchResult struct {
-	Name              string  `json:"name"`
-	Iterations        int     `json:"iterations"`
-	NsPerOp           float64 `json:"ns_per_op"`
-	OpsPerSec         float64 `json:"ops_per_sec"`
-	AllocsPerOp       int64   `json:"allocs_per_op"`
-	BytesPerOp        int64   `json:"bytes_per_op"`
-	BroadcastEncodes  int64   `json:"broadcast_encodes,omitempty"`
-	StagedBytes       int64   `json:"staged_bytes,omitempty"`
-	StagedBytesPerSec float64 `json:"staged_bytes_per_sec,omitempty"`
-}
 
 func benchCoordinator(imageKB int, spans *span.Collector) (*transport.Coordinator, error) {
 	img := &appimage.Image{
@@ -123,11 +108,10 @@ func dialAndStage(addr string, nodeID uint64) (*rawClient, int, error) {
 // reports throughput plus the coordinator's encode counter — the
 // paper's O(1)-in-N invariant shows up as that counter staying flat
 // between the n=1 and n=100 rows.
-func stagingRun(n int) (transportBenchResult, error) {
-	var res transportBenchResult
+func stagingRun(n int) (map[string]float64, error) {
 	coord, err := benchCoordinator(2<<10, nil) // 2 MB image
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	defer coord.Close()
 
@@ -154,20 +138,18 @@ func stagingRun(n int) (transportBenchResult, error) {
 	var total int64
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
-			return res, fmt.Errorf("staging session %d: %w", i+1, errs[i])
+			return nil, fmt.Errorf("staging session %d: %w", i+1, errs[i])
 		}
 		total += int64(staged[i])
 	}
-	res = transportBenchResult{
-		Name:              fmt.Sprintf("staging_n%d", n),
-		Iterations:        n,
-		NsPerOp:           float64(elapsed.Nanoseconds()) / float64(n),
-		OpsPerSec:         float64(n) / elapsed.Seconds(),
-		BroadcastEncodes:  coord.BroadcastEncodes(),
-		StagedBytes:       total,
-		StagedBytesPerSec: float64(total) / elapsed.Seconds(),
-	}
-	return res, nil
+	return map[string]float64{
+		"iterations":           float64(n),
+		"ns_per_op":            float64(elapsed.Nanoseconds()) / float64(n),
+		"ops_per_sec":          float64(n) / elapsed.Seconds(),
+		"broadcast_encodes":    float64(coord.BroadcastEncodes()),
+		"staged_bytes":         float64(total),
+		"staged_bytes_per_sec": float64(total) / elapsed.Seconds(),
+	}, nil
 }
 
 // benchHeartbeatRTT round-trips a pre-encoded heartbeat frame against a
@@ -222,191 +204,126 @@ func benchHeartbeatRTT(failed *atomic.Bool) func(b *testing.B) {
 // the fast-path node (prebuilt request frame, reused buffers); the JSON
 // variant mirrors a pre-fast-path node (per-op marshal/unmarshal).
 // testing.Benchmark's alloc counters are process-wide, so both sides of
-// each hand-off are in the numbers.
-func benchTaskHandoff(binaryPlane bool, failed *atomic.Bool) func(b *testing.B) {
-	return benchTaskHandoffSpans(binaryPlane, nil, failed)
-}
-
-// benchTaskHandoffSpans is benchTaskHandoff against a coordinator with
-// the given span collector — the obs sweep's overhead probe (nil for
-// the untraced baseline, a sampled-off collector for the gate).
-func benchTaskHandoffSpans(binaryPlane bool, spans *span.Collector, failed *atomic.Bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		coord, err := benchCoordinator(32, spans)
-		if err != nil {
-			failed.Store(true)
-			return
-		}
-		defer coord.Close()
-		// Keep a floor of backlog beyond b.N so the dispatcher never
-		// comes up empty mid-measurement.
-		const floor = 10_000
-		total := b.N + floor
-		submitted := 0
-		for submitted < total {
-			n := total - submitted
-			if n > 100_000 {
-				n = 100_000
-			}
-			if _, err := coord.Backend().Submit(backendJob(n)); err != nil {
+// each hand-off are in the numbers. spans is the coordinator's span
+// collector: nil untraced, or sampled-off for the obs sweep's overhead
+// probe.
+func benchTaskHandoff(binaryPlane bool, spans *span.Collector) func(failed *atomic.Bool) func(b *testing.B) {
+	return func(failed *atomic.Bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			coord, err := benchCoordinator(32, spans)
+			if err != nil {
 				failed.Store(true)
 				return
 			}
-			submitted += n
-		}
-		cl, _, err := dialAndStage(coord.Addr(), 1)
-		if err != nil {
-			failed.Store(true)
-			return
-		}
-		defer cl.Close()
-		var reqFrame, wbuf []byte
-		if binaryPlane {
-			reqFrame = transport.BeginFrame(nil, transport.FrameTaskRequestBin)
-			reqFrame = transport.AppendTaskRequest(reqFrame, &transport.TaskRequestMsg{NodeID: 1})
-			if reqFrame, err = transport.EndFrame(reqFrame, 0); err != nil {
+			defer coord.Close()
+			// Keep a floor of backlog beyond b.N so the dispatcher never
+			// comes up empty mid-measurement.
+			const floor = 10_000
+			if err := submitBacklog(coord.Backend(), b.N+floor); err != nil {
 				failed.Store(true)
 				return
 			}
-		}
-		var assign transport.TaskAssignMsg
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+			cl, _, err := dialAndStage(coord.Addr(), 1)
+			if err != nil {
+				failed.Store(true)
+				return
+			}
+			defer cl.Close()
+			var reqFrame, wbuf []byte
 			if binaryPlane {
-				_, err = cl.bw.Write(reqFrame)
-			} else {
-				var raw []byte
-				if raw, err = json.Marshal(&transport.TaskRequestMsg{NodeID: 1}); err == nil {
-					err = transport.WriteFrame(cl.bw, transport.FrameTaskRequest, raw)
+				reqFrame = transport.BeginFrame(nil, transport.FrameTaskRequestBin)
+				reqFrame = transport.AppendTaskRequest(reqFrame, &transport.TaskRequestMsg{NodeID: 1})
+				if reqFrame, err = transport.EndFrame(reqFrame, 0); err != nil {
+					failed.Store(true)
+					return
 				}
 			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := cl.bw.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			t, payload, err := cl.fr.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			switch t {
-			case transport.FrameTaskAssignBin:
-				err = transport.DecodeTaskAssign(payload, &assign)
-			case transport.FrameTaskAssign:
-				assign = transport.TaskAssignMsg{}
-				err = json.Unmarshal(payload, &assign)
-			default:
-				// NoTask with backlog pending invalidates the run.
-				failed.Store(true)
-				return
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			res := transport.TaskResultMsg{NodeID: 1, JobID: assign.JobID, TaskID: assign.TaskID}
-			if binaryPlane {
-				wbuf = transport.BeginFrame(wbuf[:0], transport.FrameTaskResultBin)
-				wbuf = transport.AppendTaskResult(wbuf, &res)
-				if wbuf, err = transport.EndFrame(wbuf, 0); err != nil {
+			var assign transport.TaskAssignMsg
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if binaryPlane {
+					_, err = cl.bw.Write(reqFrame)
+				} else {
+					var raw []byte
+					if raw, err = json.Marshal(&transport.TaskRequestMsg{NodeID: 1}); err == nil {
+						err = transport.WriteFrame(cl.bw, transport.FrameTaskRequest, raw)
+					}
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
-				_, err = cl.bw.Write(wbuf)
-			} else {
-				var raw []byte
-				if raw, err = json.Marshal(&res); err == nil {
-					err = transport.WriteFrame(cl.bw, transport.FrameTaskResult, raw)
+				if err := cl.bw.Flush(); err != nil {
+					b.Fatal(err)
 				}
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := cl.bw.Flush(); err != nil {
-				b.Fatal(err)
+				t, payload, err := cl.fr.Next()
+				if err != nil {
+					b.Fatal(err)
+				}
+				switch t {
+				case transport.FrameTaskAssignBin:
+					err = transport.DecodeTaskAssign(payload, &assign)
+				case transport.FrameTaskAssign:
+					assign = transport.TaskAssignMsg{}
+					err = json.Unmarshal(payload, &assign)
+				default:
+					// NoTask with backlog pending invalidates the run.
+					failed.Store(true)
+					return
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				res := transport.TaskResultMsg{NodeID: 1, JobID: assign.JobID, TaskID: assign.TaskID}
+				if binaryPlane {
+					wbuf = transport.BeginFrame(wbuf[:0], transport.FrameTaskResultBin)
+					wbuf = transport.AppendTaskResult(wbuf, &res)
+					if wbuf, err = transport.EndFrame(wbuf, 0); err != nil {
+						b.Fatal(err)
+					}
+					_, err = cl.bw.Write(wbuf)
+				} else {
+					var raw []byte
+					if raw, err = json.Marshal(&res); err == nil {
+						err = transport.WriteFrame(cl.bw, transport.FrameTaskResult, raw)
+					}
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := cl.bw.Flush(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}
 }
 
-// sweepTransport benchmarks the transport fast path over loopback TCP,
-// writes BENCH_transport.json (or -out) as a regression gate, and
-// mirrors the numbers as CSV on stdout. Two invariants are enforced
-// in-process: the broadcast encode counter must stay flat from 1 to
-// 100 staging sessions, and the binary task plane must cut allocs per
-// hand-off at least 2× versus the JSON baseline measured in the same
-// run.
-func sweepTransport(w *csv.Writer, outPath string) error {
-	if err := w.Write([]string{"bench", "iterations", "ns_per_op", "ops_per_sec",
-		"allocs_per_op", "bytes_per_op", "broadcast_encodes", "staged_bytes_per_sec"}); err != nil {
-		return err
-	}
-	var results []transportBenchResult
-	emit := func(res transportBenchResult) error {
-		results = append(results, res)
-		return w.Write([]string{res.Name, fmt.Sprintf("%d", res.Iterations),
-			f(res.NsPerOp), f(res.OpsPerSec),
-			fmt.Sprintf("%d", res.AllocsPerOp), fmt.Sprintf("%d", res.BytesPerOp),
-			fmt.Sprintf("%d", res.BroadcastEncodes), f(res.StagedBytesPerSec)})
-	}
-
-	var encodes [2]int64
+// sweepTransport benchmarks the transport fast path over loopback TCP
+// and enforces two invariants: the broadcast encode counter must stay
+// flat from 1 to 100 staging sessions, and the binary task plane must
+// cut allocs per hand-off at least 2× versus the JSON baseline measured
+// in the same run.
+func sweepTransport(r *recorder, _ int64) error {
+	var encodes [2]float64
 	for i, n := range []int{1, 100} {
-		res, err := stagingRun(n)
+		m, err := stagingRun(n)
 		if err != nil {
 			return err
 		}
-		encodes[i] = res.BroadcastEncodes
-		if err := emit(res); err != nil {
-			return err
-		}
+		encodes[i] = m["broadcast_encodes"]
+		r.row(fmt.Sprintf("staging_n%d", n), m)
 	}
-	if encodes[0] != encodes[1] {
-		return fmt.Errorf("broadcast encodes not flat in session count: %d at n=1 vs %d at n=100",
-			encodes[0], encodes[1])
-	}
+	r.check("broadcast encodes flat n=1 vs n=100", encodes[0] == encodes[1],
+		"broadcast encodes not flat in session count: %.0f at n=1 vs %.0f at n=100", encodes[0], encodes[1])
 
-	benches := []struct {
-		name string
-		fn   func(*atomic.Bool) func(b *testing.B)
-	}{
-		{"heartbeat_rtt", benchHeartbeatRTT},
-		{"task_handoff_binary", func(f *atomic.Bool) func(*testing.B) { return benchTaskHandoff(true, f) }},
-		{"task_handoff_json", func(f *atomic.Bool) func(*testing.B) { return benchTaskHandoff(false, f) }},
+	r.bench("heartbeat_rtt", benchHeartbeatRTT)
+	bin, okBin := r.bench("task_handoff_binary", benchTaskHandoff(true, nil))
+	js, okJS := r.bench("task_handoff_json", benchTaskHandoff(false, nil))
+	if okBin && okJS {
+		r.check("binary task plane allocs >= 2x JSON", js["allocs_per_op"] >= 2*bin["allocs_per_op"],
+			"binary task plane saves too little: %.0f allocs/op vs %.0f JSON (want >= 2x)",
+			bin["allocs_per_op"], js["allocs_per_op"])
 	}
-	byName := map[string]transportBenchResult{}
-	for _, bench := range benches {
-		var failed atomic.Bool
-		r := testing.Benchmark(bench.fn(&failed))
-		if failed.Load() {
-			return fmt.Errorf("transport bench %s: measurement invalidated (setup failure or starved dispatch)", bench.name)
-		}
-		if r.N == 0 || r.T <= 0 {
-			return fmt.Errorf("transport bench %s: no iterations recorded", bench.name)
-		}
-		res := transportBenchResult{
-			Name:        bench.name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			OpsPerSec:   float64(r.N) / r.T.Seconds(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-		byName[res.Name] = res
-		if err := emit(res); err != nil {
-			return err
-		}
-	}
-	bin, js := byName["task_handoff_binary"], byName["task_handoff_json"]
-	if js.AllocsPerOp < 2*bin.AllocsPerOp {
-		return fmt.Errorf("binary task plane saves too little: %d allocs/op vs %d JSON (want >= 2x)",
-			bin.AllocsPerOp, js.AllocsPerOp)
-	}
-
-	blob, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	return os.WriteFile(outPath, blob, 0o644)
+	return nil
 }

@@ -29,8 +29,7 @@ type Broadcaster struct {
 	pending      []File
 	pendingSet   bool
 	commitTimer  simtime.Timer
-	genListeners map[int]func(gen uint32, at time.Time)
-	nextListener int
+	genListeners simtime.Listeners[func(gen uint32, at time.Time)]
 	// airedWire accumulates the wire bytes broadcast by generations that
 	// have already been replaced; the live generation's contribution is
 	// its stream position (telemetry).
@@ -83,12 +82,7 @@ func NewBroadcaster(clk simtime.Clock, car *Carousel, rateBps float64) (*Broadca
 	if rateBps <= 0 {
 		return nil, errors.New("dsmcc: broadcast rate must be positive")
 	}
-	return &Broadcaster{
-		clk:          clk,
-		rate:         rateBps,
-		car:          car,
-		genListeners: make(map[int]func(uint32, time.Time)),
-	}, nil
+	return &Broadcaster{clk: clk, rate: rateBps, car: car}, nil
 }
 
 // airTime converts wire bytes to transmission duration at the broadcast
@@ -201,10 +195,7 @@ func (b *Broadcaster) commit() {
 	}
 	gen := l.Generation
 	at := b.origin
-	listeners := make([]func(uint32, time.Time), 0, len(b.genListeners))
-	for _, fn := range b.genListeners {
-		listeners = append(listeners, fn)
-	}
+	listeners := b.genListeners.Snapshot()
 	b.mu.Unlock()
 	for _, fn := range listeners {
 		fn(gen, at)
@@ -212,18 +203,10 @@ func (b *Broadcaster) commit() {
 }
 
 // OnGeneration registers fn to run whenever a new generation goes on
-// air. It returns a cancel function. fn runs on the clock's event loop.
+// air. It returns a cancel function. fn runs on the clock's event loop;
+// listeners fire in registration order.
 func (b *Broadcaster) OnGeneration(fn func(gen uint32, at time.Time)) (cancel func()) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	id := b.nextListener
-	b.nextListener++
-	b.genListeners[id] = fn
-	return func() {
-		b.mu.Lock()
-		delete(b.genListeners, id)
-		b.mu.Unlock()
-	}
+	return b.genListeners.Add(fn)
 }
 
 // ErrNoSuchFile reports a RequestFile against a name absent from the

@@ -14,6 +14,7 @@
 package flute
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -133,8 +134,7 @@ type Caster struct {
 	generation   uint32
 	pending      []dsmcc.File
 	pendingSet   bool
-	genListeners map[int]func(uint32, time.Time)
-	nextListener int
+	genListeners simtime.Listeners[func(uint32, time.Time)]
 }
 
 // NewCaster builds an idle caster transmitting at rateBps.
@@ -142,18 +142,34 @@ func NewCaster(clk simtime.Clock, rateBps float64) (*Caster, error) {
 	if rateBps <= 0 {
 		return nil, errors.New("flute: rate must be positive")
 	}
-	return &Caster{
-		clk:          clk,
-		rate:         rateBps,
-		genListeners: make(map[int]func(uint32, time.Time)),
-	}, nil
+	return &Caster{clk: clk, rate: rateBps}, nil
 }
 
 func (c *Caster) airTime(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) * 8 / c.rate * float64(time.Second))
 }
 
-// Start implements controller.HeadEnd.
+// own returns files with payloads the caster owns: each changed payload
+// is copied once into a capacity-clipped buffer (cap == len), and a
+// payload byte-equal to the one on air keeps that buffer. Callers may
+// reuse or mutate their slices afterwards. Caller holds c.mu.
+func (c *Caster) own(files []dsmcc.File) []dsmcc.File {
+	out := make([]dsmcc.File, len(files))
+	for i, f := range files {
+		var data []byte
+		if c.cur != nil {
+			data = c.cur.files[f.Name]
+		}
+		if data == nil || !bytes.Equal(data, f.Data) {
+			data = append(make([]byte, 0, len(f.Data)), f.Data...)
+		}
+		out[i] = dsmcc.File{Name: f.Name, Data: data}
+	}
+	return out
+}
+
+// Start implements controller.HeadEnd. The caster keeps its own copy of
+// the payloads.
 func (c *Caster) Start(files []dsmcc.File) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -161,7 +177,7 @@ func (c *Caster) Start(files []dsmcc.File) error {
 		return errors.New("flute: caster already started")
 	}
 	c.generation++
-	l, err := buildLayout(files, c.generation)
+	l, err := buildLayout(c.own(files), c.generation)
 	if err != nil {
 		c.generation--
 		return err
@@ -198,7 +214,8 @@ func (c *Caster) positionLocked(t time.Time) int64 {
 }
 
 // Update implements controller.HeadEnd: new content goes on air at the
-// next cycle boundary; queued updates coalesce.
+// next cycle boundary; queued updates coalesce. The caster copies the
+// payloads at call time, as Start does.
 func (c *Caster) Update(files []dsmcc.File) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -208,7 +225,7 @@ func (c *Caster) Update(files []dsmcc.File) error {
 	if _, err := buildLayout(files, 0); err != nil {
 		return err // validate now; commit later
 	}
-	c.pending = files
+	c.pending = c.own(files)
 	if c.pendingSet {
 		return nil
 	}
@@ -237,28 +254,17 @@ func (c *Caster) commit() {
 	c.origin = c.clk.Now()
 	gen := c.generation
 	at := c.origin
-	ls := make([]func(uint32, time.Time), 0, len(c.genListeners))
-	for _, fn := range c.genListeners {
-		ls = append(ls, fn)
-	}
+	ls := c.genListeners.Snapshot()
 	c.mu.Unlock()
 	for _, fn := range ls {
 		fn(gen, at)
 	}
 }
 
-// OnGeneration implements middleware.ObjectCarousel.
+// OnGeneration implements middleware.ObjectCarousel. Listeners fire in
+// registration order.
 func (c *Caster) OnGeneration(fn func(gen uint32, at time.Time)) (cancel func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := c.nextListener
-	c.nextListener++
-	c.genListeners[id] = fn
-	return func() {
-		c.mu.Lock()
-		delete(c.genListeners, id)
-		c.mu.Unlock()
-	}
+	return c.genListeners.Add(fn)
 }
 
 // CycleWire returns the current cycle's wire size in bytes.
@@ -289,6 +295,11 @@ var ErrNoSuchFile = errors.New("flute: no such file on air")
 // RequestFile implements middleware.ObjectCarousel. The strategy is
 // ignored: datagram receivers always cache out-of-order chunks (the
 // block-cache behaviour is inherent to FLUTE).
+//
+// The delivered slice is the caster's own buffer for that file version,
+// shared by every receiver: fn must treat it as read-only. Its capacity
+// equals its length, so appending to it copies rather than writing into
+// the shared bytes.
 func (c *Caster) RequestFile(name string, _ dsmcc.ReceiverStrategy, fn func(data []byte, at time.Time, err error)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -324,26 +335,13 @@ func (c *Caster) scheduleLocked(name string, fn func([]byte, time.Time, error)) 
 			c.mu.Unlock()
 			fn(nil, c.clk.Now(), ErrNoSuchFile)
 			return
-		case cur.generation != gen && !bytesEqual(data, l.files[name]):
+		case cur.generation != gen && !bytes.Equal(data, l.files[name]):
 			// Content changed mid-read: restart on the new generation.
 			c.scheduleLocked(name, fn)
 			c.mu.Unlock()
 			return
 		}
-		out := append([]byte(nil), data...)
 		c.mu.Unlock()
-		fn(out, c.clk.Now(), nil)
+		fn(data, c.clk.Now(), nil)
 	})
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -274,3 +274,52 @@ func TestRequestRestartsOnContentChange(t *testing.T) {
 		t.Fatalf("delivered %d bytes, want the fresh content", len(got))
 	}
 }
+
+// TestCasterOwnsPayloads: Start and Update copy the caller's payloads,
+// so mutating them afterwards changes nothing on air, and every receiver
+// is handed the caster's one capacity-clipped buffer rather than a copy
+// of its own.
+func TestCasterOwnsPayloads(t *testing.T) {
+	clk := simtime.NewSim(epoch)
+	data := []byte("original-bytes")
+	c := startCaster(t, clk, 1e6, dsmcc.File{Name: "image", Data: data})
+	copy(data, "MUTATED")
+
+	var got [][]byte
+	for i := 0; i < 3; i++ {
+		c.RequestFile("image", dsmcc.FileGranularity, func(d []byte, _ time.Time, err error) {
+			if err != nil {
+				t.Errorf("request: %v", err)
+			}
+			got = append(got, d)
+		})
+	}
+	clk.Wait()
+	if len(got) != 3 {
+		t.Fatalf("%d deliveries, want 3", len(got))
+	}
+	for _, d := range got {
+		if string(d) != "original-bytes" {
+			t.Fatalf("delivered %q after the caller mutated its slice", d)
+		}
+		if cap(d) != len(d) {
+			t.Fatalf("delivered cap %d, len %d: appending would write into the shared buffer", cap(d), len(d))
+		}
+		if &d[0] != &got[0][0] {
+			t.Fatal("receivers were handed separate copies of one file version")
+		}
+	}
+
+	update := []byte("updated-bytes")
+	if err := c.Update([]dsmcc.File{{Name: "image", Data: update}}); err != nil {
+		t.Fatal(err)
+	}
+	copy(update, "MUTATED")
+	clk.Wait() // commit at the cycle boundary
+	var after []byte
+	c.RequestFile("image", dsmcc.FileGranularity, func(d []byte, _ time.Time, _ error) { after = d })
+	clk.Wait()
+	if string(after) != "updated-bytes" {
+		t.Fatalf("delivered %q after the caller mutated its Update slice", after)
+	}
+}

@@ -31,13 +31,13 @@ type Signalling struct {
 
 	mu        sync.Mutex
 	current   []byte // encoded AIT section
-	listeners map[int]*sigListener
-	nextID    int
+	listeners simtime.Listeners[*sigListener]
 }
 
 type sigListener struct {
-	rng *rand.Rand
-	fn  func(raw []byte)
+	rng       *rand.Rand
+	fn        func(raw []byte)
+	cancelled bool // guarded by Signalling.mu
 }
 
 // NewSignalling creates an AIT channel with the given repetition period
@@ -46,14 +46,15 @@ func NewSignalling(clk simtime.Clock, period time.Duration) *Signalling {
 	if period <= 0 {
 		period = DefaultAITPeriod
 	}
-	return &Signalling{clk: clk, period: period, listeners: make(map[int]*sigListener)}
+	return &Signalling{clk: clk, period: period}
 }
 
 // Period returns the repetition interval.
 func (s *Signalling) Period() time.Duration { return s.period }
 
 // Publish puts a new AIT on air. Every subscribed receiver sees it at
-// its next repetition slot.
+// its next repetition slot; receivers draw their slots in subscription
+// order.
 func (s *Signalling) Publish(t *ait.AIT) error {
 	raw, err := t.Encode()
 	if err != nil {
@@ -61,10 +62,7 @@ func (s *Signalling) Publish(t *ait.AIT) error {
 	}
 	s.mu.Lock()
 	s.current = raw
-	ls := make([]*sigListener, 0, len(s.listeners))
-	for _, l := range s.listeners {
-		ls = append(ls, l)
-	}
+	ls := s.listeners.Snapshot()
 	s.mu.Unlock()
 	for _, l := range ls {
 		l := l
@@ -81,16 +79,14 @@ func (s *Signalling) Publish(t *ait.AIT) error {
 func (s *Signalling) Subscribe(rng *rand.Rand, fn func(raw []byte)) (cancel func()) {
 	l := &sigListener{rng: rng, fn: fn}
 	s.mu.Lock()
-	id := s.nextID
-	s.nextID++
-	s.listeners[id] = l
+	remove := s.listeners.Add(l)
 	current := s.current
 	s.mu.Unlock()
 	if current != nil {
 		delay := time.Duration(rng.Int63n(int64(s.period)))
 		s.clk.AfterFunc(delay, func() {
 			s.mu.Lock()
-			_, live := s.listeners[id]
+			live := !l.cancelled
 			s.mu.Unlock()
 			if live {
 				fn(current)
@@ -99,14 +95,11 @@ func (s *Signalling) Subscribe(rng *rand.Rand, fn func(raw []byte)) (cancel func
 	}
 	return func() {
 		s.mu.Lock()
-		delete(s.listeners, id)
+		l.cancelled = true
 		s.mu.Unlock()
+		remove()
 	}
 }
 
 // Listeners reports how many receivers are tuned.
-func (s *Signalling) Listeners() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.listeners)
-}
+func (s *Signalling) Listeners() int { return s.listeners.Len() }

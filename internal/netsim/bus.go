@@ -31,48 +31,34 @@ type Bus struct {
 
 	mu        sync.Mutex
 	busyUntil time.Time
-	nextID    int
-	subs      map[int]func(Packet)
+	subs      simtime.Listeners[func(Packet)]
 	published int64
 	bytes     int64
 }
 
 // NewBus creates an idle broadcast channel.
 func NewBus(clk simtime.Clock, cfg BusConfig) *Bus {
-	return &Bus{clk: clk, cfg: cfg, subs: make(map[int]func(Packet))}
+	return &Bus{clk: clk, cfg: cfg}
 }
 
 // Subscription identifies a bus listener for later cancellation.
 type Subscription struct {
-	bus *Bus
-	id  int
+	cancel func()
 }
 
 // Cancel stops delivery to this subscriber.
-func (s *Subscription) Cancel() {
-	s.bus.mu.Lock()
-	delete(s.bus.subs, s.id)
-	s.bus.mu.Unlock()
-}
+func (s *Subscription) Cancel() { s.cancel() }
 
 // Subscribe registers fn to receive every packet whose transmission
 // completes while the subscription is active. fn runs on the clock's
-// event loop and must not block.
+// event loop and must not block. Subscribers receive a packet (and draw
+// their loss) in subscription order.
 func (b *Bus) Subscribe(fn func(Packet)) *Subscription {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	id := b.nextID
-	b.nextID++
-	b.subs[id] = fn
-	return &Subscription{bus: b, id: id}
+	return &Subscription{cancel: b.subs.Add(fn)}
 }
 
 // Subscribers reports the current number of listeners.
-func (b *Bus) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
+func (b *Bus) Subscribers() int { return b.subs.Len() }
 
 // Publish transmits payload of the given wire size. Delivery happens to
 // the subscribers present when serialization completes; the per-node
@@ -97,8 +83,9 @@ func (b *Bus) Publish(from string, payload any, size int) {
 	b.clk.AfterFunc(arrival.Sub(now), func() {
 		p.ArrivedAt = b.clk.Now()
 		b.mu.Lock()
-		targets := make([]func(Packet), 0, len(b.subs))
-		for _, fn := range b.subs {
+		subs := b.subs.Snapshot()
+		targets := subs[:0]
+		for _, fn := range subs {
 			if b.cfg.DropProb > 0 && b.cfg.Rng != nil && b.cfg.Rng.Float64() < b.cfg.DropProb {
 				continue
 			}

@@ -63,6 +63,7 @@ type Clock interface {
 
 	// Wait blocks until the system is quiescent: all goroutines spawned
 	// with Go have returned and (for the Sim clock) no pending events
-	// remain that could wake anything.
+	// remain that could wake anything. A Sim clock advances virtual time
+	// only while a Wait is in progress.
 	Wait()
 }

@@ -9,11 +9,19 @@ import (
 
 // Sim is a deterministic discrete-event Clock.
 //
-// Virtual time advances only when every goroutine spawned through Go is
-// blocked inside a clock primitive; then the earliest pending timer fires.
-// Events scheduled for the same instant fire in scheduling order, and a
-// fired event's effects (typically waking one goroutine) are fully drained
-// before the next event at the same instant fires, so runs are repeatable.
+// Virtual time advances only while a driver is inside Wait and every
+// goroutine spawned through Go is blocked inside a clock primitive; then
+// the earliest pending timer fires. Events scheduled for the same instant
+// fire in scheduling order, and a fired event's effects (typically waking
+// one goroutine) are fully drained before the next event at the same
+// instant fires, so runs are repeatable.
+//
+// The driver — the goroutine that calls Go, AfterFunc and Wait — is not
+// an actor, so the runnable count cannot see it between setup calls.
+// Time is therefore held outside Wait: actors that park while the driver
+// is still scheduling the event or spawning the peer that will wake them
+// stay parked until Wait starts, instead of being advanced past or
+// declared deadlocked.
 //
 // With no participating goroutines, Sim degenerates into a classic
 // single-threaded event loop: schedule callbacks with AfterFunc and drive
@@ -32,6 +40,7 @@ type Sim struct {
 	runnable   int // actors not currently parked in Sleep/Suspend
 	publishing int // actors between runnable-- and their publish returning
 	advancing  bool
+	waiting    int // Wait calls in progress; time is held while zero
 
 	fired uint64 // total events fired, for diagnostics
 }
@@ -193,10 +202,10 @@ func (s *Sim) popLocked() *event {
 	return nil
 }
 
-// maybeAdvanceLocked fires pending events while no actor is runnable.
-// Caller holds s.mu.
+// maybeAdvanceLocked fires pending events while a Wait is in progress
+// and no actor is runnable. Caller holds s.mu.
 func (s *Sim) maybeAdvanceLocked() {
-	if s.advancing || s.runnable > 0 || s.publishing > 0 {
+	if s.waiting == 0 || s.advancing || s.runnable > 0 || s.publishing > 0 {
 		return
 	}
 	s.advancing = true
@@ -216,26 +225,32 @@ func (s *Sim) maybeAdvanceLocked() {
 	}
 	s.advancing = false
 	s.cond.Broadcast()
-	if s.actors > 0 && s.runnable == 0 && s.publishing == 0 && s.live == 0 {
-		msg := fmt.Sprintf("simtime: deadlock: %d goroutine(s) parked with no pending events at %s",
-			s.actors, s.now.Format(time.RFC3339Nano))
-		s.mu.Unlock() // release before panicking so recovery does not poison the clock
-		panic(msg)
-	}
 }
 
-// Wait implements Clock. It drives the event loop when no participating
-// goroutines exist, and otherwise blocks until all of them have returned
-// and the event queue is drained of live events.
+// Wait implements Clock. It releases the hold on virtual time for its
+// duration, drives the event loop when no participating goroutine is
+// runnable, and blocks until all of them have returned and the event
+// queue is drained of live events. If every participating goroutine is
+// parked with no live event left to wake one, Wait panics with a
+// deadlock message in the calling goroutine, after restoring the hold.
 func (s *Sim) Wait() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.waiting++
 	for {
-		if !s.advancing && s.runnable == 0 && s.publishing == 0 && s.live > 0 {
-			s.maybeAdvanceLocked()
-			continue
-		}
-		if s.actors == 0 && s.live == 0 && !s.advancing {
+		if !s.advancing && s.runnable == 0 && s.publishing == 0 {
+			if s.live > 0 {
+				s.maybeAdvanceLocked()
+				continue
+			}
+			if s.actors > 0 {
+				msg := fmt.Sprintf("simtime: deadlock: %d goroutine(s) parked with no pending events at %s",
+					s.actors, s.now.Format(time.RFC3339Nano))
+				s.waiting--
+				s.mu.Unlock() // release before panicking so recovery does not poison the clock
+				panic(msg)
+			}
+			s.waiting--
+			s.mu.Unlock()
 			return
 		}
 		s.cond.Wait()

@@ -122,16 +122,19 @@ func TestSimRunUntilRejectsActors(t *testing.T) {
 	clk.Wait() // drain the sleeping actor so the test exits clean
 }
 
-// TestSimDeadlockPanicMessage: the no-runnable-actors deadlock panic
-// names the parked count and the virtual instant, which is what makes
+// TestSimDeadlockPanicMessage: the no-runnable-actors deadlock panic,
+// raised in the goroutine driving Wait, names the parked count and the virtual instant, which is what makes
 // hung fleet runs debuggable.
 func TestSimDeadlockPanicMessage(t *testing.T) {
 	clk := NewSim(epoch)
-	msg := make(chan any, 1)
 	clk.Go(func() {
-		defer func() { msg <- recover() }()
 		clk.Suspend(func(wake func()) {}) // wake is dropped: nothing can ever fire
 	})
+	msg := make(chan any, 1)
+	go func() {
+		defer func() { msg <- recover() }()
+		clk.Wait()
+	}()
 	select {
 	case p := <-msg:
 		s, ok := p.(string)

@@ -155,11 +155,14 @@ func TestSimWakeBeforeParkIsSafe(t *testing.T) {
 
 func TestSimDeadlockPanics(t *testing.T) {
 	clk := NewSim(epoch)
-	panicked := make(chan any, 1)
 	clk.Go(func() {
-		defer func() { panicked <- recover() }()
 		clk.Suspend(func(wake func()) {}) // nobody will ever wake us
 	})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		clk.Wait()
+	}()
 	select {
 	case p := <-panicked:
 		if p == nil {
